@@ -6,13 +6,12 @@
  */
 
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "bender/host.h"
-#include "core/protect/drfm.h"
-#include "core/protect/rfm.h"
-#include "core/protect/rowswap.h"
-#include "core/protect/tracker.h"
+#include "core/protect/mitigation.h"
 #include "dram/chip.h"
 #include "util/table.h"
 
@@ -57,6 +56,44 @@ armVictims(bender::Host &host, dram::RowAddr aggr, uint32_t distance)
     host.writeRowPattern(0, aggr ^ distance, 0);
 }
 
+/**
+ * Runs @p attack on @p pairs coupled pairs of a fresh chip, each with
+ * armed victims, and totals the victim bitflips.
+ */
+Scenario
+attackPairs(std::string name, const dram::DeviceConfig &cfg,
+            uint32_t pairs,
+            const std::function<void(bender::Host &, dram::RowAddr)> &attack)
+{
+    dram::Chip chip(cfg);
+    bender::Host host(chip);
+    const uint32_t distance = *cfg.coupledRowDistance;
+    Scenario s{std::move(name)};
+    for (uint32_t k = 0; k < pairs; ++k) {
+        const dram::RowAddr aggr = 1000 + 8 * k;
+        armVictims(host, aggr, distance);
+        attack(host, aggr);
+        s.flips += countFlips(host, aggr, distance);
+    }
+    return s;
+}
+
+/**
+ * The in-DRAM RFM/DRFM cadence: @p count ACTs of @p row in four
+ * bursts, each accounted and followed by the sequences it triggered.
+ */
+void
+hammerInBursts(bender::Host &host, core::Mitigation &mit,
+               dram::RowAddr row, uint64_t count)
+{
+    for (int burst = 0; burst < 4; ++burst) {
+        host.hammer(0, row, count / 4);
+        mit.onActivate(0, row, count / 4);
+        for (const auto &seq : mit.pendingCommands())
+            core::executeSequence(host, seq);
+    }
+}
+
 } // namespace
 
 int
@@ -76,152 +113,76 @@ main()
 
     std::vector<Scenario> results;
 
-    // --- Scenario 1: split attack vs coupled-unaware tracker. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
+    // --- Scenarios 1-2: split attack vs MC-side trackers.  Each
+    // address stays just under the threshold, but the shared
+    // wordline sees both halves. ---
+    for (const bool aware : {false, true}) {
         core::TrackerOptions topts;
         topts.threshold = kThreshold;
-        core::ProtectedMemory mem(host, topts);
-        Scenario s{"split attack vs unaware tracker"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            mem.hammer(0, aggr, kThreshold - 100);
-            mem.hammer(0, aggr ^ distance, kThreshold - 100);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = mem.tracker().mitigations();
-        results.push_back(s);
+        topts.coupledAware = aware;
+        topts.coupledDistance = aware ? distance : 0;
+        core::GrapheneMitigation mit(cfg, topts);
+        results.push_back(attackPairs(
+            aware ? "split attack vs coupled-aware tracker"
+                  : "split attack vs unaware tracker",
+            cfg, pairs, [&](bender::Host &host, dram::RowAddr aggr) {
+                core::hammerThroughMitigation(host, mit, 0, aggr,
+                                              kThreshold - 100);
+                core::hammerThroughMitigation(host, mit, 0,
+                                              aggr ^ distance,
+                                              kThreshold - 100);
+            }));
+        results.back().mitigations = mit.tracker(0).mitigations();
     }
 
-    // --- Scenario 2: same attack vs coupled-aware tracker. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::TrackerOptions topts;
-        topts.threshold = kThreshold;
-        topts.coupledAware = true;
-        topts.coupledDistance = distance;
-        core::ProtectedMemory mem(host, topts);
-        Scenario s{"split attack vs coupled-aware tracker"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            mem.hammer(0, aggr, kThreshold - 100);
-            mem.hammer(0, aggr ^ distance, kThreshold - 100);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = mem.tracker().mitigations();
-        results.push_back(s);
-    }
-
-    // --- Scenario 3: row-swap defense, coupled-unaware. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
+    // --- Scenarios 3-4: row swap, then hammer the partner. ---
+    for (const bool aware : {false, true}) {
         core::RowSwapOptions ropts;
         ropts.threshold = kThreshold;
         ropts.spareBase = 40000;
-        core::RowSwapDefense defense(host, ropts);
-        Scenario s{"swap-then-hammer-partner vs row swap"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            defense.hammer(0, aggr, kThreshold);  // Triggers the swap.
-            defense.hammer(0, aggr ^ distance, kThreshold);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = defense.swaps();
-        results.push_back(s);
-    }
-
-    // --- Scenario 4: row-swap defense, coupled-aware. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::RowSwapOptions ropts;
-        ropts.threshold = kThreshold;
-        ropts.spareBase = 40000;
-        ropts.coupledAware = true;
-        ropts.coupledDistance = distance;
-        core::RowSwapDefense defense(host, ropts);
-        Scenario s{"same attack vs coupled-aware row swap"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            defense.hammer(0, aggr, kThreshold);
-            defense.hammer(0, aggr ^ distance, kThreshold);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = defense.swaps();
-        results.push_back(s);
+        ropts.coupledAware = aware;
+        ropts.coupledDistance = aware ? distance : 0;
+        core::RowSwapMitigation mit(cfg, ropts);
+        results.push_back(attackPairs(
+            aware ? "same attack vs coupled-aware row swap"
+                  : "swap-then-hammer-partner vs row swap",
+            cfg, pairs, [&](bender::Host &host, dram::RowAddr aggr) {
+                // The first hammer triggers the swap.
+                core::hammerThroughMitigation(host, mit, 0, aggr,
+                                              kThreshold);
+                core::hammerThroughMitigation(host, mit, 0,
+                                              aggr ^ distance, kThreshold);
+            }));
+        results.back().mitigations = mit.swaps();
     }
 
     // --- Scenario 5: straight attack vs victim refresh (nuance). ---
     {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
         core::TrackerOptions topts;
         topts.threshold = kThreshold;
-        core::ProtectedMemory mem(host, topts);
-        Scenario s{"straight attack vs victim refresh (unaware)"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            mem.hammer(0, aggr, 10 * kThreshold);
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = mem.tracker().mitigations();
-        results.push_back(s);
+        core::GrapheneMitigation mit(cfg, topts);
+        results.push_back(attackPairs(
+            "straight attack vs victim refresh (unaware)", cfg, pairs,
+            [&](bender::Host &host, dram::RowAddr aggr) {
+                core::hammerThroughMitigation(host, mit, 0, aggr,
+                                              10 * kThreshold);
+            }));
+        results.back().mitigations = mit.tracker(0).mitigations();
     }
 
-    // --- Scenario 6: split attack vs DRFM. ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::DrfmOptions dopts;
-        dopts.interval = kThreshold / 2;
-        core::DrfmController drfm(chip, dopts);
-        Scenario s{"split attack vs DRFM (in-DRAM adjacency)"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            for (const dram::RowAddr a : {aggr, aggr ^ distance}) {
-                for (int chunk = 0; chunk < 4; ++chunk) {
-                    host.hammer(0, a, (kThreshold - 100) / 4);
-                    drfm.onActivate(a, (kThreshold - 100) / 4,
-                                    host.now());
-                }
-            }
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = drfm.drfmCount();
-        results.push_back(s);
-    }
-
-    // --- Scenario 7: split attack vs RFM (in-DRAM tracking). ---
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::RfmEngine engine(chip, 0);
-        core::RfmController mc(engine, kThreshold / 2);
-        Scenario s{"split attack vs RFM + in-DRAM tracker"};
-        for (uint32_t k = 0; k < pairs; ++k) {
-            const dram::RowAddr aggr = 1000 + 8 * k;
-            armVictims(host, aggr, distance);
-            for (const dram::RowAddr a : {aggr, aggr ^ distance}) {
-                for (int chunk = 0; chunk < 4; ++chunk) {
-                    host.hammer(0, a, (kThreshold - 100) / 4);
-                    mc.onActivate(a, (kThreshold - 100) / 4,
-                                  host.now());
-                }
-            }
-            s.flips += countFlips(host, aggr, distance);
-        }
-        s.mitigations = mc.rfmCount();
-        results.push_back(s);
-    }
+    // --- Scenarios 6-7: split attack vs in-DRAM DRFM and RFM. ---
+    const auto splitInDram = [&](const char *name, core::Mitigation &mit) {
+        results.push_back(attackPairs(
+            name, cfg, pairs, [&](bender::Host &host, dram::RowAddr aggr) {
+                for (const dram::RowAddr a : {aggr, aggr ^ distance})
+                    hammerInBursts(host, mit, a, kThreshold - 100);
+            }));
+        results.back().mitigations = mit.fired();
+    };
+    core::DrfmMitigation drfm(cfg, kThreshold / 2);
+    splitInDram("split attack vs DRFM (in-DRAM adjacency)", drfm);
+    core::RfmMitigation rfm(cfg, kThreshold / 2, 16);
+    splitInDram("split attack vs RFM + in-DRAM tracker", rfm);
 
     Table t({"Scenario", "Mitigations issued", "Victim bitflips",
              "Attack outcome"});

@@ -11,9 +11,8 @@
 #include "bender/host.h"
 #include "core/patterns.h"
 #include "core/physmap.h"
-#include "core/protect/drfm.h"
+#include "core/protect/mitigation.h"
 #include "core/protect/scramble.h"
-#include "core/protect/tracker.h"
 #include "dram/chip.h"
 #include "util/table.h"
 
@@ -60,61 +59,47 @@ main()
 
     // ------------------------------------------------------------
     printBanner("Attack 1: coupled-row split hammering (SS VI-A)");
-    {
+    for (const bool aware : {false, true}) {
         dram::Chip chip(cfg);
         bender::Host host(chip);
         core::TrackerOptions topts;
         topts.threshold = 6000;
-        core::ProtectedMemory mem(host, topts);
+        topts.coupledAware = aware;
+        topts.coupledDistance = aware ? distance : 0;
+        core::GrapheneMitigation mit(cfg, topts);
 
         const dram::RowAddr aggr = 2000;
         armCoupledVictims(host, aggr, distance);
         // Keep each address just under the tracker threshold; the
         // shared wordline still sees ~12K activations.
-        mem.hammer(0, aggr, 5900);
-        mem.hammer(0, aggr ^ distance, 5900);
-        std::printf("coupled-unaware tracker: %lu mitigations, %zu "
-                    "victim bitflips -> attack %s\n",
-                    (unsigned long)mem.tracker().mitigations(),
-                    flipsAround(host, aggr, distance),
-                    flipsAround(host, aggr, distance) ? "SUCCEEDS"
-                                                      : "fails");
+        core::hammerThroughMitigation(host, mit, 0, aggr, 5900);
+        core::hammerThroughMitigation(host, mit, 0, aggr ^ distance, 5900);
+        const size_t flips = flipsAround(host, aggr, distance);
+        std::printf("%s %lu mitigations, %zu victim bitflips -> attack "
+                    "%s\n",
+                    aware ? "coupled-aware tracker:  "
+                          : "coupled-unaware tracker:",
+                    (unsigned long)mit.tracker(0).mitigations(), flips,
+                    flips ? "SUCCEEDS" : aware ? "defeated" : "fails");
     }
     {
         dram::Chip chip(cfg);
         bender::Host host(chip);
-        core::TrackerOptions topts;
-        topts.threshold = 6000;
-        topts.coupledAware = true;
-        topts.coupledDistance = distance;
-        core::ProtectedMemory mem(host, topts);
-
-        const dram::RowAddr aggr = 2000;
-        armCoupledVictims(host, aggr, distance);
-        mem.hammer(0, aggr, 5900);
-        mem.hammer(0, aggr ^ distance, 5900);
-        std::printf("coupled-aware tracker:   %lu mitigations, %zu "
-                    "victim bitflips -> attack defeated\n",
-                    (unsigned long)mem.tracker().mitigations(),
-                    flipsAround(host, aggr, distance));
-    }
-    {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        core::DrfmOptions dopts;
-        dopts.interval = 3000;
-        core::DrfmController drfm(chip, dopts);
+        // DRFM mitigates inside the DRAM, with its true adjacency.
+        core::DrfmMitigation drfm(cfg, 3000);
         const dram::RowAddr aggr = 2000;
         armCoupledVictims(host, aggr, distance);
         for (const dram::RowAddr a : {aggr, aggr ^ distance}) {
             for (int chunk = 0; chunk < 4; ++chunk) {
                 host.hammer(0, a, 1475);
-                drfm.onActivate(a, 1475, host.now());
+                drfm.onActivate(0, a, 1475);
+                for (const auto &seq : drfm.pendingCommands())
+                    core::executeSequence(host, seq);
             }
         }
         std::printf("DRFM every 3K ACTs:      %lu DRFM commands, %zu "
                     "victim bitflips -> attack defeated\n",
-                    (unsigned long)drfm.drfmCount(),
+                    (unsigned long)drfm.fired(),
                     flipsAround(host, aggr, distance));
     }
 

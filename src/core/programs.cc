@@ -6,6 +6,7 @@
 #include "core/programs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "bender/host.h"
 #include "core/protect/mitigation.h"
@@ -59,28 +60,27 @@ builtinPrograms(const dram::DeviceConfig &cfg)
                        Host::makeRowCopyProgram(cfg, b, row, dst)});
     catalog.push_back(
         {"refresh", "host", Host::makeRefreshProgram(cfg)});
-    catalog.push_back({"mitigate", "protect/tracker",
-                       ProtectedMemory::makeMitigationProgram(cfg, b,
-                                                              row)});
-    // One exemplar command sequence per scheduler-injectable
-    // mitigation: the exact victim-refresh burst RFM fires on a
-    // hottest-table hit, and the double row-activation a swap
-    // migration costs (the data burst itself is host-side).
-    {
-        MitigationSequence rfm;
-        rfm.kind = MitigationKind::Rfm;
-        rfm.bank = b;
-        rfm.rows = victimRows(cfg, row, true);
-        catalog.push_back(
-            {"rfm-mitigate", "protect/mitigation", rfm.program(cfg)});
-
-        MitigationSequence swap;
-        swap.kind = MitigationKind::RowSwap;
-        swap.bank = b;
-        swap.rows = {row, dst};
-        catalog.push_back(
-            {"rowswap-migrate", "protect/mitigation", swap.program(cfg)});
-    }
+    // One exemplar command sequence per mitigation: the MC-side
+    // victim refresh Graphene fires (+-1 logical neighbours), the
+    // exact victim-refresh burst RFM is priced at on a hottest-table
+    // hit, and the double row-activation a swap migration costs (the
+    // data burst itself is host-side).
+    const auto sequence = [&](MitigationKind kind,
+                              std::vector<dram::RowAddr> rows) {
+        MitigationSequence seq;
+        seq.kind = kind;
+        seq.bank = b;
+        seq.rows = std::move(rows);
+        return seq.program(cfg);
+    };
+    catalog.push_back(
+        {"mitigate", "protect/tracker",
+         sequence(MitigationKind::Graphene, victimRows(cfg, row, false))});
+    catalog.push_back(
+        {"rfm-mitigate", "protect/mitigation",
+         sequence(MitigationKind::Rfm, victimRows(cfg, row, true))});
+    catalog.push_back({"rowswap-migrate", "protect/mitigation",
+                       sequence(MitigationKind::RowSwap, {row, dst})});
     return catalog;
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <utility>
 
+#include "bender/host.h"
 #include "util/log.h"
 
 namespace dramscope {
@@ -61,9 +62,8 @@ mitigationFromString(const std::string &id)
 bender::Program
 MitigationSequence::program(const dram::DeviceConfig &cfg) const
 {
-    // One in-spec ACT..PRE cycle per row — the same shape as
-    // ProtectedMemory's victim-refresh program — then the extra
-    // blocking time (a swap's data-migration burst).
+    // One in-spec ACT..PRE cycle per row (a victim refresh), then
+    // the extra blocking time (a swap's data-migration burst).
     bender::Program p;
     const auto &t = cfg.timing;
     for (const dram::RowAddr r : rows)
@@ -471,10 +471,35 @@ makeMitigation(MitigationKind kind, const dram::DeviceConfig &cfg,
     return nullptr;
 }
 
+uint32_t
+executeSequence(bender::Host &host, const MitigationSequence &seq)
+{
+    switch (seq.kind) {
+    case MitigationKind::Rfm:
+    case MitigationKind::Drfm:
+        // In-DRAM: the device translates the aggressor through its
+        // own remap and refreshes its coupled partner's neighbours too.
+        return host.device().refreshAggressorNeighbors(
+            seq.bank, seq.neutralized.front(), host.now());
+    case MitigationKind::RowSwap:
+        // The data migration: a straight row copy, source to target.
+        host.writeRowBits(seq.bank, seq.rows[1],
+                          host.readRowBits(seq.bank, seq.rows[0]));
+        return 0;
+    case MitigationKind::None:
+    case MitigationKind::Graphene:
+        // MC-side victim refresh: ordinary ACT..PRE commands.
+        host.run(seq.program(host.config()));
+        return 0;
+    }
+    fatal("executeSequence: bad kind");
+    return 0;
+}
+
 void
 hammerThroughMitigation(bender::Host &host, Mitigation &mit,
                         dram::BankId bank, dram::RowAddr row,
-                        uint64_t count, const SequenceHandler &handler)
+                        uint64_t count)
 {
     // Chunked execution keeps the simulation fast while preserving
     // trigger semantics: counters accumulate exactly `count`
@@ -485,12 +510,8 @@ hammerThroughMitigation(bender::Host &host, Mitigation &mit,
         const uint64_t n = std::min(chunk, remaining);
         host.hammer(bank, mit.resolve(bank, row), n);
         mit.onActivate(bank, row, n);
-        for (const auto &seq : mit.pendingCommands()) {
-            if (handler)
-                handler(seq);
-            else
-                host.run(seq.program(host.config()));
-        }
+        for (const auto &seq : mit.pendingCommands())
+            executeSequence(host, seq);
         remaining -= n;
     }
 }

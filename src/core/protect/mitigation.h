@@ -3,7 +3,7 @@
  * The unified mitigation interface (SS VI): every `core/protect`
  * defense expressed as one pluggable object the memory-controller
  * scheduler (mc::schedule) and the adversarial hammer path
- * (ProtectedMemory / RowSwapDefense) both drive.
+ * (hammerThroughMitigation / executeSequence) both drive.
  *
  * A Mitigation observes activations through onActivate(), observes
  * refresh-window boundaries through onRefreshWindow(), and answers
@@ -24,7 +24,6 @@
 #define DRAMSCOPE_CORE_PROTECT_MITIGATION_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,11 +32,14 @@
 
 #include "bender/lint.h"
 #include "bender/program.h"
-#include "core/protect/rowswap.h"
 #include "core/protect/tracker.h"
 #include "dram/config.h"
 
 namespace dramscope {
+namespace bender {
+class Host;
+} // namespace bender
+
 namespace core {
 
 /**
@@ -93,6 +95,22 @@ const char *mitigationId(MitigationKind kind);
 /** Parses a mitigation keyword; nullopt on an unknown one. */
 std::optional<MitigationKind> mitigationFromString(const std::string &id);
 
+/** Row-swap knobs (RRS/ScaleSRS style, SS VI-A). */
+struct RowSwapOptions
+{
+    uint64_t threshold = 6000;
+
+    /** First spare row used for relocation targets. */
+    dram::RowAddr spareBase = 0;
+
+    /**
+     * When true, a swap relocates the coupled partner as well
+     * (requires the MC to know the coupled relation).
+     */
+    bool coupledAware = false;
+    uint32_t coupledDistance = 0;
+};
+
 /**
  * Knobs of every mitigation kind, bundled so one options struct can
  * ride through SchedulerOptions / CLI flags.  Only the fields of the
@@ -123,7 +141,9 @@ struct MitigationOptions
  * order); `extraPs` is additional bank-blocking time beyond the row
  * cycles (e.g. a swap's data-migration burst); `neutralized` lists
  * the aggressor rows whose exposure this sequence resets — the
- * scheduler closes their (bank, row, window) exposure samples.
+ * scheduler closes their (bank, row, window) exposure samples.  The
+ * scheduler prices every kind as these row cycles; on a device,
+ * executeSequence() decides how the sequence actually runs.
  */
 struct MitigationSequence
 {
@@ -210,7 +230,11 @@ class GrapheneMitigation : public Mitigation
     std::vector<MitigationSequence> pendingCommands() override;
     uint64_t accountingChunk() const override;
 
-    /** The per-bank tracker (introspection / legacy accessors). */
+    /**
+     * The per-bank tracker.  Its mitigations() counts threshold
+     * crossings; fired() counts sequences, two per coupled-aware
+     * crossing.
+     */
     const ActivationTracker &tracker(dram::BankId bank) const;
 
   private:
@@ -221,10 +245,9 @@ class GrapheneMitigation : public Mitigation
 };
 
 /**
- * The in-DRAM aggressor tracker both RFM models share (RfmEngine's
- * device-backed path and RfmMitigation's scheduled path): a bounded
- * counter table with space-saving eviction — a full table replaces
- * its minimum entry and the newcomer inherits that floor.
+ * RfmMitigation's in-DRAM aggressor tracker: a bounded counter table
+ * with space-saving eviction — a full table replaces its minimum
+ * entry and the newcomer inherits that floor.
  */
 class SpaceSavingTable
 {
@@ -382,22 +405,26 @@ std::unique_ptr<Mitigation> makeMitigation(MitigationKind kind,
                                            const dram::DeviceConfig &cfg,
                                            const MitigationOptions &opts);
 
-/** Per-sequence handler override for hammerThroughMitigation. */
-using SequenceHandler = std::function<void(const MitigationSequence &)>;
+/**
+ * Runs @p seq on @p host the way its kind reaches the device.  RFM
+ * and DRFM mitigate in-DRAM: Device::refreshAggressorNeighbors on the
+ * neutralized aggressor, so the device resolves its own remap and
+ * coupled partner (SS VI-B).  A row swap copies the source row's data
+ * to the target.  Graphene runs its victim-refresh program().
+ * Returns the rows the device restored in-DRAM (0 for the kinds that
+ * run as host commands).
+ */
+uint32_t executeSequence(bender::Host &host, const MitigationSequence &seq);
 
 /**
  * Routes an adversarial bulk hammer through @p mit: chunked by
  * accountingChunk() so no trigger point is skipped, each chunk
  * hammered at the resolved physical row, accounted via onActivate(),
- * and every pending sequence executed — by running its program on
- * @p host, or through @p handler when provided (row swap substitutes
- * a real data migration).  This is the one shared implementation
- * behind ProtectedMemory::hammer and RowSwapDefense::hammer.
+ * and every pending sequence run through executeSequence().
  */
 void hammerThroughMitigation(bender::Host &host, Mitigation &mit,
                              dram::BankId bank, dram::RowAddr row,
-                             uint64_t count,
-                             const SequenceHandler &handler = {});
+                             uint64_t count);
 
 } // namespace core
 } // namespace dramscope

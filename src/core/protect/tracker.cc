@@ -7,7 +7,6 @@
 
 #include <algorithm>
 
-#include "core/protect/mitigation.h"
 #include "util/log.h"
 
 namespace dramscope {
@@ -64,43 +63,6 @@ ActivationTracker::reset()
 {
     counters_.clear();
     spill_ = 0;
-}
-
-ProtectedMemory::ProtectedMemory(bender::Host &host, TrackerOptions opts)
-    : host_(host),
-      mitigation_(
-          std::make_unique<GrapheneMitigation>(host.config(), opts))
-{
-}
-
-ProtectedMemory::~ProtectedMemory() = default;
-
-bender::Program
-ProtectedMemory::makeMitigationProgram(const dram::DeviceConfig &cfg,
-                                       dram::BankId bank,
-                                       dram::RowAddr row)
-{
-    // Victim refresh: activating the logical neighbours restores
-    // their cells.  The MC assumes +-1 logical adjacency (it cannot
-    // know the internal remap or coupling unless told).
-    MitigationSequence seq;
-    seq.kind = MitigationKind::Graphene;
-    seq.bank = bank;
-    seq.rows = victimRows(cfg, row, /*device_aware=*/false);
-    return seq.program(cfg);
-}
-
-void
-ProtectedMemory::hammer(dram::BankId bank, dram::RowAddr row,
-                        uint64_t count)
-{
-    hammerThroughMitigation(host_, *mitigation_, bank, row, count);
-}
-
-const ActivationTracker &
-ProtectedMemory::tracker() const
-{
-    return mitigation_->tracker(0);
 }
 
 } // namespace core

@@ -13,17 +13,13 @@
 #define DRAMSCOPE_CORE_PROTECT_TRACKER_H
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "bender/host.h"
 #include "dram/types.h"
 
 namespace dramscope {
 namespace core {
-
-class GrapheneMitigation;
 
 /** Tracker configuration. */
 struct TrackerOptions
@@ -72,47 +68,6 @@ class ActivationTracker
     std::unordered_map<dram::RowAddr, uint64_t> counters_;
     uint64_t spill_ = 0;  //!< Misra-Gries decrement floor.
     uint64_t mitigations_ = 0;
-};
-
-/**
- * A memory controller that routes an attacker's hammering through a
- * Graphene-style tracker and performs the victim refreshes on the
- * device.  Mitigation activates the logical neighbours of the
- * tracked row — which protects the coupled row's victims only when
- * the tracker is coupled-aware.
- *
- * A thin adapter over the unified Mitigation interface
- * (core/protect/mitigation.h): the chunking and firing logic lives
- * in hammerThroughMitigation, shared with the scheduled-traffic
- * path.
- */
-class ProtectedMemory
-{
-  public:
-    ProtectedMemory(bender::Host &host, TrackerOptions opts);
-    ~ProtectedMemory();
-
-    /**
-     * The victim-refresh program a firing executes: one in-spec
-     * ACT..PRE cycle per logical neighbour of @p row that exists in
-     * @p cfg.  Exposed for the program linter and its catalog.
-     */
-    static bender::Program
-    makeMitigationProgram(const dram::DeviceConfig &cfg,
-                          dram::BankId bank, dram::RowAddr row);
-
-    /**
-     * Hammers @p row through the protected controller in chunks,
-     * applying mitigations as the tracker fires.
-     */
-    void hammer(dram::BankId bank, dram::RowAddr row, uint64_t count);
-
-    /** The bank-0 tracker (the attack surface tests exercise). */
-    const ActivationTracker &tracker() const;
-
-  private:
-    bender::Host &host_;
-    std::unique_ptr<GrapheneMitigation> mitigation_;
 };
 
 } // namespace core

@@ -9,8 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "bender/host.h"
-#include "core/protect/drfm.h"
-#include "core/protect/rfm.h"
+#include "core/protect/mitigation.h"
 #include "dram/chip.h"
 #include "dram/hbm_stack.h"
 #include "mapping/dimm.h"
@@ -130,21 +129,27 @@ TEST(DeviceDimm, RfmMitigatesOnEveryChip)
     // One RFM restores the two physical neighbours of the hottest
     // row *per chip*: 2 x 16 mitigative refreshes on a plain rank.
     mapping::Dimm dimm(testutil::tinyPlain());
-    core::RfmEngine engine(dimm, 0);
-    engine.onActivate(100, 10000);
-    engine.onRfm(5000);
-    EXPECT_EQ(engine.mitigations(), 2u * dimm.chipCount());
+    bender::Host host(dimm);
+    core::RfmMitigation rfm(host.config(), 10000, 16);
+    rfm.onActivate(0, 100, 10000);
+    const auto seqs = rfm.pendingCommands();
+    ASSERT_EQ(seqs.size(), 1u);
+    EXPECT_EQ(core::executeSequence(host, seqs[0]),
+              2u * dimm.chipCount());
 }
 
 TEST(DeviceDimm, DrfmRunsRankWide)
 {
     mapping::Dimm dimm(testutil::tinyPlain());
-    core::DrfmOptions opts;
-    opts.interval = 1000;
-    core::DrfmController drfm(dimm, opts);
-    drfm.onActivate(100, 1200, 4000);
-    drfm.onActivate(100, 1200, 8000);
-    EXPECT_EQ(drfm.drfmCount(), 2u);
+    bender::Host host(dimm);
+    core::DrfmMitigation drfm(host.config(), 1000);
+    for (int burst = 0; burst < 2; ++burst) {
+        drfm.onActivate(0, 100, 1200);
+        for (const auto &seq : drfm.pendingCommands())
+            EXPECT_EQ(core::executeSequence(host, seq),
+                      2u * dimm.chipCount());
+    }
+    EXPECT_EQ(drfm.fired(), 2u);
 }
 
 TEST(DeviceHbm, ChannelsAreIndependentSiliconThroughDevice)

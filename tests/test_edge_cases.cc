@@ -9,7 +9,7 @@
 
 #include "bender/host.h"
 #include "core/protect/ecc.h"
-#include "core/protect/tracker.h"
+#include "core/protect/mitigation.h"
 #include "core/re_retention.h"
 #include "core/re_swizzle.h"
 #include "dram/hbm_stack.h"
@@ -104,9 +104,10 @@ TEST(EdgeCases, MitigationAtBankEdgeSkipsMissingNeighbours)
     bender::Host host(chip);
     core::TrackerOptions opts;
     opts.threshold = 100;
-    core::ProtectedMemory mem(host, opts);
-    mem.hammer(0, 0, 500);  // Fires mitigations for row 0.
-    EXPECT_GT(mem.tracker().mitigations(), 0u);
+    core::GrapheneMitigation mit(cfg, opts);
+    // Fires mitigations for row 0.
+    core::hammerThroughMitigation(host, mit, 0, 0, 500);
+    EXPECT_GT(mit.tracker(0).mitigations(), 0u);
     // Reaching here without a panic is the assertion.
 }
 

@@ -10,6 +10,7 @@
 
 #include "bender/host.h"
 #include "bender/lint.h"
+#include "bender/trace.h"
 #include "core/protect/mitigation.h"
 #include "dram/chip.h"
 #include "test_common.h"
@@ -228,25 +229,49 @@ TEST(RowSwapMitigation, IndirectionMovesTheHotRowPerBank)
 
 TEST(HammerThroughMitigation, ChunksAccountEverythingAndFiresInline)
 {
+    // Logs each ACT the device is sent, by row.
+    struct ActLog : obs::TraceSink
+    {
+        std::vector<RowAddr> rows;
+        void onCommand(const obs::TraceRecord &rec) override
+        {
+            if (rec.cmd == obs::TraceCmd::Act)
+                rows.push_back(rec.row);
+        }
+    };
+
     const auto cfg = testutil::tinyPlain();
     dram::Chip chip(cfg);
     bender::Host host(chip);
+    ActLog log;
+    host.setTrace(&log);
     MitigationOptions opts;
     opts.graphene.threshold = 100;
     const auto mit =
         core::makeMitigation(MitigationKind::Graphene, cfg, opts);
 
-    std::vector<MitigationSequence> seen;
-    core::hammerThroughMitigation(
-        host, *mit, 0, 30, 350,
-        [&](const MitigationSequence &s) { seen.push_back(s); });
+    core::hammerThroughMitigation(host, *mit, 0, 30, 350);
 
     // 350 activations at threshold 100: three firings, none skipped
-    // by chunking (chunk = threshold / 4 <= trigger spacing).
+    // by chunking (chunk = threshold / 4 <= trigger spacing), each
+    // refreshing rows 29 and 31 right after the 100th, 200th and
+    // 300th aggressor ACT.
     EXPECT_EQ(mit->fired(), 3u);
-    ASSERT_EQ(seen.size(), 3u);
-    for (const auto &s : seen)
-        EXPECT_EQ(s.neutralized, (std::vector<RowAddr>{30}));
+    std::vector<size_t> aggressorActsBeforeRefresh;
+    size_t aggressorActs = 0;
+    for (size_t i = 0; i < log.rows.size(); ++i) {
+        if (log.rows[i] == 30) {
+            ++aggressorActs;
+        } else if (log.rows[i] == 29) {
+            ASSERT_LT(i + 1, log.rows.size());
+            EXPECT_EQ(log.rows[i + 1], RowAddr(31));
+            aggressorActsBeforeRefresh.push_back(aggressorActs);
+        }
+    }
+    EXPECT_EQ(aggressorActs, 350u);
+    EXPECT_EQ(aggressorActsBeforeRefresh,
+              (std::vector<size_t>{100, 200, 300}));
+    EXPECT_EQ(log.rows.size(), 350u + 3 * 2);
     // Nothing left pending after the loop.
     EXPECT_TRUE(mit->pendingCommands().empty());
 }

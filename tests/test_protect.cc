@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/protect/drfm.h"
-#include "core/protect/rowswap.h"
+#include "bender/host.h"
+#include "core/protect/mitigation.h"
 #include "core/protect/scramble.h"
 #include "core/protect/tracker.h"
 #include "core/patterns.h"
@@ -152,30 +152,37 @@ TEST(Tracker, SpilledTiesNeverFireButTrackedTiesDo)
     EXPECT_FALSE(t.onActivate(20, 1).empty());
 }
 
-TEST(ProtectedMemory, MitigationProgramClampsAtTheBankEdges)
+TEST(GrapheneMitigation, VictimRefreshProgramClampsAtTheBankEdges)
 {
     // Victim refresh at row 0 has no row -1, and at the last row no
     // row +1: the program holds exactly one ACT..PRE cycle.
     const auto cfg = testutil::tinyPlain();
+    TrackerOptions opts;
+    opts.threshold = 1;
+    core::GrapheneMitigation mit(cfg, opts);
+    const auto refreshOf = [&](RowAddr row) {
+        mit.onActivate(0, row);
+        const auto seqs = mit.pendingCommands();
+        EXPECT_EQ(seqs.size(), 1u);
+        return seqs.empty() ? bender::Program() : seqs.front().program(cfg);
+    };
     const auto countActs = [](const bender::Program &p) {
         size_t acts = 0;
         for (const auto &in : p.instrs())
             acts += in.op == bender::Opcode::Act ? 1 : 0;
         return acts;
     };
-    const auto lo = core::ProtectedMemory::makeMitigationProgram(cfg, 0, 0);
+    const auto lo = refreshOf(0);
     EXPECT_EQ(countActs(lo), 1u);
     ASSERT_GE(lo.size(), 1u);
     EXPECT_EQ(lo.instrs()[0].row, RowAddr(1));
 
     const RowAddr last = cfg.rowsPerBank - 1;
-    const auto hi =
-        core::ProtectedMemory::makeMitigationProgram(cfg, 0, last);
+    const auto hi = refreshOf(last);
     EXPECT_EQ(countActs(hi), 1u);
     EXPECT_EQ(hi.instrs()[0].row, last - 1);
 
-    const auto mid = core::ProtectedMemory::makeMitigationProgram(cfg, 0, 9);
-    EXPECT_EQ(countActs(mid), 2u);
+    EXPECT_EQ(countActs(refreshOf(9)), 2u);
 }
 
 class CoupledAttackTest : public ::testing::Test
@@ -222,7 +229,7 @@ TEST_F(CoupledAttackTest, UnawareTrackerIsBypassedBySplitAttack)
     bender::Host host(chip);
     TrackerOptions opts;
     opts.threshold = 6000;
-    core::ProtectedMemory mem(host, opts);
+    core::GrapheneMitigation mit(chip.config(), opts);
 
     // Eight coupled pairs in typical subarrays: enough victim cells
     // for the just-over-threshold dose to flip the weakest of them.
@@ -232,11 +239,11 @@ TEST_F(CoupledAttackTest, UnawareTrackerIsBypassedBySplitAttack)
         // Split the hammering across the coupled pair: each counter
         // stays below threshold, but the shared wordline sees the
         // full count.
-        mem.hammer(0, aggr, 5900);
-        mem.hammer(0, aggr ^ 512u, 5900);
+        core::hammerThroughMitigation(host, mit, 0, aggr, 5900);
+        core::hammerThroughMitigation(host, mit, 0, aggr ^ 512u, 5900);
         flips += victimFlips(host, aggr);
     }
-    EXPECT_EQ(mem.tracker().mitigations(), 0u);
+    EXPECT_EQ(mit.tracker(0).mitigations(), 0u);
     EXPECT_GT(flips, 0u);
 }
 
@@ -248,16 +255,16 @@ TEST_F(CoupledAttackTest, AwareTrackerStopsTheSplitAttack)
     opts.threshold = 6000;
     opts.coupledAware = true;
     opts.coupledDistance = 512;
-    core::ProtectedMemory mem(host, opts);
+    core::GrapheneMitigation mit(chip.config(), opts);
 
     size_t flips = 0;
     for (RowAddr aggr = 52; aggr <= 92; aggr += 8) {
         armVictims(host, aggr);
-        mem.hammer(0, aggr, 5900);
-        mem.hammer(0, aggr ^ 512u, 5900);
+        core::hammerThroughMitigation(host, mit, 0, aggr, 5900);
+        core::hammerThroughMitigation(host, mit, 0, aggr ^ 512u, 5900);
         flips += victimFlips(host, aggr);
     }
-    EXPECT_GT(mem.tracker().mitigations(), 0u);
+    EXPECT_GT(mit.tracker(0).mitigations(), 0u);
     EXPECT_EQ(flips, 0u);
 }
 
@@ -270,17 +277,17 @@ TEST_F(CoupledAttackTest, VictimRefreshIncidentallyProtectsCoupledRows)
     bender::Host host(chip);
     TrackerOptions opts;
     opts.threshold = 6000;
-    core::ProtectedMemory mem(host, opts);  // Not coupled-aware.
+    core::GrapheneMitigation mit(chip.config(), opts);  // Not coupled-aware.
 
     const RowAddr aggr = 60;
     armVictims(host, aggr);
-    mem.hammer(0, aggr, 100000);
+    core::hammerThroughMitigation(host, mit, 0, aggr, 100000);
 
-    EXPECT_GT(mem.tracker().mitigations(), 0u);
+    EXPECT_GT(mit.tracker(0).mitigations(), 0u);
     EXPECT_EQ(victimFlips(host, aggr), 0u);
 }
 
-TEST_F(CoupledAttackTest, RowSwapDefenseIsNeutralizedByCoupledRows)
+TEST_F(CoupledAttackTest, RowSwapIsNeutralizedByCoupledRows)
 {
     // SS VI-A: MC-side row swapping relocates only row A; the
     // attacker keeps driving the same physical wordline through the
@@ -290,16 +297,18 @@ TEST_F(CoupledAttackTest, RowSwapDefenseIsNeutralizedByCoupledRows)
     core::RowSwapOptions opts;
     opts.threshold = 6000;
     opts.spareBase = 400;  // Far from the attacked region.
-    core::RowSwapDefense defense(host, opts);
+    core::RowSwapMitigation mit(chip.config(), opts);
 
     size_t flips = 0;
     for (RowAddr aggr = 52; aggr <= 92; aggr += 8) {
         armVictims(host, aggr);
-        defense.hammer(0, aggr, 6000);          // Triggers the swap.
-        defense.hammer(0, aggr ^ 512u, 6000);   // Same physical WL.
+        // The first hammer triggers the swap; the second drives the
+        // same physical wordline.
+        core::hammerThroughMitigation(host, mit, 0, aggr, 6000);
+        core::hammerThroughMitigation(host, mit, 0, aggr ^ 512u, 6000);
         flips += victimFlips(host, aggr);
     }
-    EXPECT_GT(defense.swaps(), 0u);
+    EXPECT_GT(mit.swaps(), 0u);
     EXPECT_GT(flips, 0u);
 }
 
@@ -312,16 +321,16 @@ TEST_F(CoupledAttackTest, CoupledAwareRowSwapStopsTheAttack)
     opts.spareBase = 400;
     opts.coupledAware = true;
     opts.coupledDistance = 512;
-    core::RowSwapDefense defense(host, opts);
+    core::RowSwapMitigation mit(chip.config(), opts);
 
     size_t flips = 0;
     for (RowAddr aggr = 52; aggr <= 92; aggr += 8) {
         armVictims(host, aggr);
-        defense.hammer(0, aggr, 6000);
-        defense.hammer(0, aggr ^ 512u, 6000);
+        core::hammerThroughMitigation(host, mit, 0, aggr, 6000);
+        core::hammerThroughMitigation(host, mit, 0, aggr ^ 512u, 6000);
         flips += victimFlips(host, aggr);
     }
-    EXPECT_GT(defense.swaps(), 0u);
+    EXPECT_GT(mit.swaps(), 0u);
     EXPECT_EQ(flips, 0u);
 }
 
@@ -331,9 +340,7 @@ TEST(Drfm, ProtectsCoupledVictims)
     cfg.rowRemap = dram::RowRemapScheme::None;
     dram::Chip chip(cfg);
     bender::Host host(chip);
-    core::DrfmOptions opts;
-    opts.interval = 4000;
-    core::DrfmController drfm(chip, opts);
+    core::DrfmMitigation drfm(cfg, 4000);
 
     const RowAddr aggr = 20, partner = 532;
     for (const RowAddr v : {aggr - 1, aggr + 1, partner - 1, partner + 1})
@@ -343,9 +350,11 @@ TEST(Drfm, ProtectsCoupledVictims)
 
     for (int chunk = 0; chunk < 15; ++chunk) {
         host.hammer(0, aggr, 2000);
-        drfm.onActivate(aggr, 2000, host.now());
+        drfm.onActivate(0, aggr, 2000);
+        for (const auto &seq : drfm.pendingCommands())
+            core::executeSequence(host, seq);
     }
-    EXPECT_GT(drfm.drfmCount(), 0u);
+    EXPECT_GT(drfm.fired(), 0u);
 
     for (const RowAddr v :
          {aggr - 1, aggr + 1, partner - 1, partner + 1}) {

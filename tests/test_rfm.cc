@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "bender/host.h"
-#include "core/protect/rfm.h"
+#include "core/protect/mitigation.h"
 #include "dram/chip.h"
 #include "test_common.h"
 
@@ -16,56 +16,63 @@ namespace {
 
 using dram::RowAddr;
 
-TEST(RfmEngine, TracksTheHottestRow)
+TEST(SpaceSavingTable, TracksTheHottestRow)
 {
-    dram::DeviceConfig cfg = testutil::tinyPlain();
+    core::SpaceSavingTable table(4);
+    EXPECT_FALSE(table.hottest().has_value());
+    table.account(10, 100);
+    table.account(20, 500);
+    table.account(30, 50);
+    EXPECT_EQ(table.hottest(), RowAddr(20));
+
+    // The RFM those 650 ACTs trigger refreshes row 20's two physical
+    // neighbours, in-DRAM.
+    const auto cfg = testutil::tinyPlain();
     dram::Chip chip(cfg);
-    core::RfmEngine engine(chip, 0, 4);
-    engine.onActivate(10, 100);
-    engine.onActivate(20, 500);
-    engine.onActivate(30, 50);
-    engine.onRfm(1000);
-    // The hottest row (20) got its neighbours refreshed: two rows.
-    EXPECT_EQ(engine.mitigations(), 2u);
+    bender::Host host(chip);
+    core::RfmMitigation rfm(cfg, 650, 4);
+    rfm.onActivate(0, 10, 100);
+    rfm.onActivate(0, 20, 500);
+    rfm.onActivate(0, 30, 50);
+    const auto seqs = rfm.pendingCommands();
+    ASSERT_EQ(seqs.size(), 1u);
+    EXPECT_EQ(seqs[0].neutralized, (std::vector<RowAddr>{20}));
+    EXPECT_EQ(core::executeSequence(host, seqs[0]), 2u);
 }
 
-TEST(RfmEngine, SpaceSavingInheritsTheFloor)
+TEST(SpaceSavingTable, InheritsTheFloor)
 {
-    dram::DeviceConfig cfg = testutil::tinyPlain();
-    dram::Chip chip(cfg);
-    core::RfmEngine engine(chip, 0, 2);
-    engine.onActivate(1, 100);
-    engine.onActivate(2, 200);
+    core::SpaceSavingTable table(2);
+    table.account(1, 100);
+    table.account(2, 200);
     // Table full: row 3 evicts the minimum (row 1) and inherits 100.
-    engine.onActivate(3, 1);
-    engine.onRfm(1000);  // Row 2 is still the max.
-    EXPECT_EQ(engine.mitigations(), 2u);
+    table.account(3, 1);
+    EXPECT_EQ(table.hottest(), RowAddr(2));  // Row 2 is still the max.
+    // 100 + 1 + 100 = 201 beats row 2 only because of the floor.
+    table.account(3, 100);
+    EXPECT_EQ(table.hottest(), RowAddr(3));
 }
 
-TEST(RfmController, IssuesAtTheRaaimtCadence)
+TEST(RfmMitigation, IssuesAtTheRaaimtCadence)
 {
-    dram::DeviceConfig cfg = testutil::tinyPlain();
-    dram::Chip chip(cfg);
-    core::RfmEngine engine(chip, 0);
-    core::RfmController mc(engine, 1000);
-    mc.onActivate(5, 999, 100);
-    EXPECT_EQ(mc.rfmCount(), 0u);
-    mc.onActivate(5, 1, 200);
-    EXPECT_EQ(mc.rfmCount(), 1u);
-    mc.onActivate(5, 3000, 300);
-    EXPECT_EQ(mc.rfmCount(), 4u);
+    core::RfmMitigation rfm(testutil::tinyPlain(), 1000, 16);
+    rfm.onActivate(0, 5, 999);
+    EXPECT_EQ(rfm.fired(), 0u);
+    rfm.onActivate(0, 5, 1);
+    EXPECT_EQ(rfm.fired(), 1u);
+    rfm.onActivate(0, 5, 3000);
+    EXPECT_EQ(rfm.fired(), 4u);
 }
 
 TEST(Rfm, ProtectsAgainstTheCoupledSplitAttack)
 {
-    // The MC never learns the coupled relation; the in-DRAM engine
+    // The MC never learns the coupled relation; the in-DRAM refresh
     // resolves it (SS VI-B's recommended deployment).
     dram::DeviceConfig cfg = dram::makeTinyConfig();
     cfg.rowRemap = dram::RowRemapScheme::None;
     dram::Chip chip(cfg);
     bender::Host host(chip);
-    core::RfmEngine engine(chip, 0);
-    core::RfmController mc(engine, 2000);
+    core::RfmMitigation rfm(cfg, 2000, 16);
 
     const RowAddr aggr = 60, partner = 572;
     for (const RowAddr v : {aggr - 1, aggr + 1, partner - 1, partner + 1})
@@ -77,10 +84,12 @@ TEST(Rfm, ProtectsAgainstTheCoupledSplitAttack)
     for (int round = 0; round < 6; ++round) {
         for (const RowAddr a : {aggr, partner}) {
             host.hammer(0, a, 1950);
-            mc.onActivate(a, 1950, host.now());
+            rfm.onActivate(0, a, 1950);
+            for (const auto &seq : rfm.pendingCommands())
+                core::executeSequence(host, seq);
         }
     }
-    EXPECT_GT(mc.rfmCount(), 0u);
+    EXPECT_GT(rfm.fired(), 0u);
     for (const RowAddr v :
          {aggr - 1, aggr + 1, partner - 1, partner + 1}) {
         const BitVec row = host.readRowBits(0, v);
@@ -111,6 +120,53 @@ TEST(Rfm, WithoutRfmTheSameAttackFlips)
         flips += row.size() - row.popcount();
     }
     EXPECT_GT(flips, 0u);
+}
+
+TEST(Rfm, InDramRefreshFindsTheTrueVictimsOnARemappedChip)
+{
+    // SS VI-B on a chip with the Mfr. A internal row remap: logical
+    // row 59's physical neighbours are logical rows 58 and 63.  The
+    // in-DRAM refresh resolves that; the same sequences run as MC-side
+    // ACT..PRE cycles of the logical +-1 rows leave row 63 exposed.
+    const dram::DeviceConfig cfg = dram::makeTinyConfig();
+    const RowAddr aggr = 59;
+    const RowAddr victims[] = {58, 63};
+
+    enum class Mode { None, InDram, Program };
+    const auto flips = [&](Mode mode) {
+        dram::Chip chip(cfg);
+        bender::Host host(chip);
+        for (const RowAddr v : victims)
+            host.writeRowPattern(0, v, ~0ULL);
+        host.writeRowPattern(0, aggr, 0);
+        core::RfmMitigation rfm(cfg, 2000, 16);
+        for (uint64_t done = 0; done < 100000; done += 500) {
+            host.hammer(0, aggr, 500);
+            if (mode == Mode::None)
+                continue;
+            rfm.onActivate(0, aggr, 500);
+            for (const auto &seq : rfm.pendingCommands()) {
+                if (mode == Mode::InDram)
+                    core::executeSequence(host, seq);
+                else
+                    host.run(seq.program(cfg));
+            }
+        }
+        std::vector<size_t> out;
+        for (const RowAddr v : victims) {
+            const BitVec row = host.readRowBits(0, v);
+            out.push_back(row.size() - row.popcount());
+        }
+        return out;
+    };
+
+    const auto unmitigated = flips(Mode::None);
+    EXPECT_GT(unmitigated[0], 0u);
+    EXPECT_GT(unmitigated[1], 0u);
+    EXPECT_EQ(flips(Mode::InDram), (std::vector<size_t>{0, 0}));
+    const auto logical = flips(Mode::Program);
+    EXPECT_EQ(logical[0], 0u);  // Logical 58 is also a true neighbour.
+    EXPECT_GT(logical[1], 0u);  // Physical-only neighbour 63 flips.
 }
 
 } // namespace
