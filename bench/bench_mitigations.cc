@@ -10,43 +10,43 @@
  *
  * Like bench_fastforward this is a pass/fail tool, guarding the
  * byte-identity contract's performance half: wiring the mitigation
- * hooks into the scheduler must not tax the None path.  It exits
- * non-zero when None scheduling drops below an absolute throughput
- * floor, or when an armed-but-never-firing Graphene run costs more
- * than 2x the None wall clock (the hook overhead bound).
+ * hooks into the scheduler must not tax the None path.  After one
+ * untimed warm-up schedule(), None and an armed-but-never-firing
+ * Graphene run are timed in interleaved pairs (alternating which
+ * goes first), so neither side pays for cold caches or run order.
+ * It exits non-zero when None's median throughput drops below an
+ * absolute floor, or when the ratio of medians (inert Graphene over
+ * None) exceeds 2x (the hook overhead bound).
  */
 
 #include <cinttypes>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/protect/mitigation.h"
 #include "mc/mc.h"
 #include "mc/workload.h"
+#include "util/stats.h"
 #include "util/table.h"
 
 using namespace dramscope;
 
 namespace {
 
-/** Best-of-reps schedule() wall clock; result stats from the last rep. */
+/** One schedule() wall clock in seconds; @p stats gets its stats. */
 double
 scheduleSeconds(const std::vector<mc::Request> &reqs,
                 const dram::DeviceConfig &cfg,
-                const mc::SchedulerOptions &opt, int reps,
-                mc::ScheduleStats *stats)
+                const mc::SchedulerOptions &opt,
+                mc::ScheduleStats *stats = nullptr)
 {
-    double best = 1.0e30;
-    for (int r = 0; r < reps; ++r) {
-        benchutil::WallTimer timer;
-        auto res = mc::schedule(reqs, cfg, opt);
-        const double s = timer.seconds();
-        if (s < best)
-            best = s;
-        if (stats)
-            *stats = res.stats;
-    }
-    return best;
+    benchutil::WallTimer timer;
+    auto res = mc::schedule(reqs, cfg, opt);
+    const double s = timer.seconds();
+    if (stats)
+        *stats = res.stats;
+    return s;
 }
 
 } // namespace
@@ -65,6 +65,7 @@ main()
     const auto reqs =
         mc::makeWorkload(mc::WorkloadKind::Zipfian, cfg, wopt);
     const int reps = 3;
+    const int pairs = 5;
 
     // The closed policy turns the Zipfian hot set into repeated
     // activations (FR-FCFS coalesces them under open), and the
@@ -77,9 +78,25 @@ main()
 
     mc::SchedulerOptions base;
     base.policy = mc::RowPolicy::Closed;
+    // An armed Graphene whose threshold is never reached exercises
+    // every mitigation branch without ever injecting a command.
+    mc::SchedulerOptions inert = base;
+    inert.mitigation = core::MitigationKind::Graphene;
+    inert.mitigationOptions.graphene.threshold = 1u << 30;
+
+    scheduleSeconds(reqs, cfg, base);  // Untimed warm-up.
     mc::ScheduleStats noneStats;
-    const double noneSec = scheduleSeconds(reqs, cfg, base, reps,
-                                           &noneStats);
+    std::vector<double> noneSecs, inertSecs;
+    for (int p = 0; p < pairs; ++p) {
+        const bool noneFirst = p % 2 == 0;
+        if (!noneFirst)
+            inertSecs.push_back(scheduleSeconds(reqs, cfg, inert));
+        noneSecs.push_back(scheduleSeconds(reqs, cfg, base, &noneStats));
+        if (noneFirst)
+            inertSecs.push_back(scheduleSeconds(reqs, cfg, inert));
+    }
+    const double noneSec = median(noneSecs);
+    const double inertSec = median(inertSecs);
 
     Table table({"mitigation", "reqs/s", "fired", "mit-cmds",
                  "max-row-acts", "span-overhead"});
@@ -93,8 +110,10 @@ main()
         opt.mitigation = info.kind;
         opt.mitigationOptions = knobs;
         mc::ScheduleStats st;
-        const double sec = scheduleSeconds(reqs, cfg, opt, reps, &st);
-        table.addRow({info.id, Table::num(double(requests) / sec),
+        std::vector<double> secs;
+        for (int r = 0; r < reps; ++r)
+            secs.push_back(scheduleSeconds(reqs, cfg, opt, &st));
+        table.addRow({info.id, Table::num(double(requests) / median(secs)),
                       Table::num(double(st.mitFired)),
                       Table::num(double(st.mitCmds)),
                       Table::num(double(st.maxRowActsPerRefWindow)),
@@ -106,22 +125,17 @@ main()
 
     // Guard 1: absolute throughput floor on the unmitigated path.
     const double noneRate = double(requests) / noneSec;
-    std::printf("none scheduling: %.0f reqs/s (guard: >= 200000)\n",
-                noneRate);
+    std::printf("none scheduling: %.0f reqs/s, median of %d "
+                "(guard: >= 200000)\n",
+                noneRate, pairs);
     if (noneRate < 200000.0) {
         std::printf("FAIL: None scheduling below the throughput floor\n");
         return 1;
     }
 
-    // Guard 2: hook overhead.  An armed Graphene whose threshold is
-    // never reached exercises every mitigation branch without ever
-    // injecting a command — it must stay within 2x of None.
-    mc::SchedulerOptions inert = base;
-    inert.mitigation = core::MitigationKind::Graphene;
-    inert.mitigationOptions.graphene.threshold = 1u << 30;
-    const double inertSec =
-        scheduleSeconds(reqs, cfg, inert, reps, nullptr);
-    std::printf("inert graphene: %.2fx none wall clock (guard: <= 2x)\n",
+    // Guard 2: hook overhead, as the ratio of the interleaved medians.
+    std::printf("inert graphene: %.2fx none wall clock, ratio of "
+                "medians (guard: <= 2x)\n",
                 inertSec / noneSec);
     if (inertSec > 2.0 * noneSec) {
         std::printf("FAIL: mitigation hooks tax the scheduler\n");
