@@ -436,10 +436,9 @@ makeMitigation(MitigationKind kind, const dram::DeviceConfig &cfg,
 {
     const auto cert = certifyMitigationSequences(kind, cfg);
     for (const auto &d : cert.report.diags) {
-        fatalIf(!d.expected &&
-                    d.severity == bender::lint::Severity::Error,
-                "makeMitigation: " + std::string(mitigationId(kind)) +
-                    "'s own sequence fails certification: " + d.message);
+        if (!d.expected && d.severity == bender::lint::Severity::Error)
+            fatal("makeMitigation: " + std::string(mitigationId(kind)) +
+                  "'s own sequence fails certification: " + d.message);
     }
     switch (kind) {
     case MitigationKind::None:

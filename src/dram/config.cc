@@ -25,33 +25,46 @@ DeviceConfig::patternRows() const
 void
 DeviceConfig::validate() const
 {
-    fatalIf(subarrayPattern.empty(), name + ": empty subarray pattern");
+    if (subarrayPattern.empty())
+        fatal(name + ": empty subarray pattern");
     const uint32_t pat = patternRows();
-    fatalIf(pat == 0, name + ": zero pattern rows");
-    fatalIf(rowsPerBank % pat != 0,
-            name + ": rowsPerBank not a multiple of the pattern");
-    fatalIf(edgeSectionRows % pat != 0,
-            name + ": edge section not a multiple of the pattern");
-    fatalIf(rowsPerBank % edgeSectionRows != 0,
-            name + ": rowsPerBank not a multiple of the edge section");
-    fatalIf(rowBits % matWidth != 0, name + ": rowBits % matWidth");
-    fatalIf(rdDataBits % matsPerRow() != 0,
-            name + ": rdDataBits % matsPerRow");
-    fatalIf(rowBits % rdDataBits != 0, name + ": rowBits % rdDataBits");
-    fatalIf(swizzlePerm.size() != groupBits(),
-            name + ": swizzlePerm size != groupBits");
+    if (pat == 0)
+        fatal(name + ": zero pattern rows");
+    // Divisors first (matsPerRow, groupBits and columnsPerRow divide
+    // by them too); a burst is one uint64_t.
+    if (edgeSectionRows == 0)
+        fatal(name + ": zero edgeSectionRows");
+    if (matWidth == 0)
+        fatal(name + ": zero matWidth");
+    if (rowBits == 0)
+        fatal(name + ": zero rowBits");
+    if (rdDataBits == 0 || rdDataBits > 64)
+        fatal(name + ": rdDataBits must be in [1, 64]");
+    if (rowsPerBank % pat != 0)
+        fatal(name + ": rowsPerBank not a multiple of the pattern");
+    if (edgeSectionRows % pat != 0)
+        fatal(name + ": edge section not a multiple of the pattern");
+    if (rowsPerBank % edgeSectionRows != 0)
+        fatal(name + ": rowsPerBank not a multiple of the edge section");
+    if (rowBits % matWidth != 0)
+        fatal(name + ": rowBits % matWidth");
+    if (rdDataBits % matsPerRow() != 0)
+        fatal(name + ": rdDataBits % matsPerRow");
+    if (rowBits % rdDataBits != 0)
+        fatal(name + ": rowBits % rdDataBits");
+    if (swizzlePerm.size() != groupBits())
+        fatal(name + ": swizzlePerm size != groupBits");
     std::vector<bool> seen(swizzlePerm.size(), false);
     for (uint32_t v : swizzlePerm) {
-        fatalIf(v >= swizzlePerm.size() || seen[v],
-                name + ": swizzlePerm is not a permutation");
+        if (v >= swizzlePerm.size() || seen[v])
+            fatal(name + ": swizzlePerm is not a permutation");
         seen[v] = true;
     }
-    if (coupledRowDistance) {
-        fatalIf(*coupledRowDistance == 0 ||
-                *coupledRowDistance * 2 != rowsPerBank,
-                name + ": coupled distance must be rowsPerBank / 2");
-    }
-    fatalIf(rowBits % 64 != 0, name + ": rowBits must be 64-bit aligned");
+    if (coupledRowDistance &&
+        (*coupledRowDistance == 0 || *coupledRowDistance * 2 != rowsPerBank))
+        fatal(name + ": coupled distance must be rowsPerBank / 2");
+    if (rowBits % 64 != 0)
+        fatal(name + ": rowBits must be 64-bit aligned");
 }
 
 namespace {

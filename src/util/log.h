@@ -86,15 +86,25 @@ inline void debugLog(const std::string &msg)
     Log::emit(LogLevel::Debug, msg);
 }
 
+// panic() and fatal() on a const char * are cold and out of line, so
+// a check's call site stays a compare and a branch.
+
 /**
  * Aborts on an internal invariant violation (a library bug).
  * @param msg Description of the violated invariant.
  */
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+panic(const char *msg)
+{
+    std::fprintf(stderr, "panic: %s\n", msg);
+    std::abort();
+}
+
+/** panic() with a built message. */
 [[noreturn]] inline void
 panic(const std::string &msg)
 {
-    std::fprintf(stderr, "panic: %s\n", msg.c_str());
-    std::abort();
+    panic(msg.c_str());
 }
 
 /**
@@ -102,16 +112,25 @@ panic(const std::string &msg)
  * arguments) that is not a library bug.
  * @param msg Description of the user error.
  */
-[[noreturn]] inline void
-fatal(const std::string &msg)
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+fatal(const char *msg)
 {
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
+    std::fprintf(stderr, "fatal: %s\n", msg);
     std::exit(1);
 }
 
+/** fatal() with a built message. */
+[[noreturn]] inline void
+fatal(const std::string &msg)
+{
+    fatal(msg.c_str());
+}
+
+// The *If helpers take const char *: a passing check must not allocate.
+
 /** panic()s when @p cond holds (i.e. @p cond asserts the *bug*). */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, const char *msg)
 {
     if (cond)
         panic(msg);
@@ -119,7 +138,7 @@ panicIf(bool cond, const std::string &msg)
 
 /** fatal()s when @p cond holds (i.e. @p cond asserts the *error*). */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, const char *msg)
 {
     if (cond)
         fatal(msg);

@@ -25,10 +25,10 @@ MetricsSnapshot::merge(const MetricsSnapshot &other)
             continue;
         }
         HistogramSnapshot &mine = it->second;
-        fatalIf(mine.counts.size() != hist.counts.size() ||
-                    mine.lo != hist.lo || mine.hi != hist.hi,
-                "MetricsSnapshot::merge: histogram shape mismatch: " +
-                    name);
+        if (mine.counts.size() != hist.counts.size() ||
+            mine.lo != hist.lo || mine.hi != hist.hi)
+            fatal("MetricsSnapshot::merge: histogram shape mismatch: " +
+                  name);
         for (size_t i = 0; i < mine.counts.size(); ++i)
             mine.counts[i] += hist.counts[i];
         mine.total += hist.total;
@@ -75,9 +75,9 @@ MetricsRegistry::histogram(const std::string &name, size_t bins,
                  .emplace(name, std::make_unique<Histogram>(bins, lo, hi))
                  .first;
     } else {
-        fatalIf(it->second->bins() != bins || it->second->lo() != lo ||
-                    it->second->hi() != hi,
-                "MetricsRegistry::histogram: shape mismatch: " + name);
+        if (it->second->bins() != bins || it->second->lo() != lo ||
+            it->second->hi() != hi)
+            fatal("MetricsRegistry::histogram: shape mismatch: " + name);
     }
     return *it->second;
 }

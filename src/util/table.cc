@@ -101,7 +101,8 @@ void
 Table::writeCsv(const std::string &path) const
 {
     std::ofstream os(path);
-    fatalIf(!os, "Table::writeCsv: cannot open " + path);
+    if (!os)
+        fatal("Table::writeCsv: cannot open " + path);
     auto emitRow = [&](const std::vector<std::string> &cells) {
         for (size_t c = 0; c < cells.size(); ++c) {
             if (c)

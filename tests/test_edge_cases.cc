@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "bender/host.h"
 #include "core/protect/ecc.h"
 #include "core/protect/mitigation.h"
@@ -85,6 +87,42 @@ TEST(EdgeCases, InvalidConfigDies)
     dram::DeviceConfig bad_coupled = testutil::tinyPlain();
     bad_coupled.coupledRowDistance = 100;
     EXPECT_DEATH(bad_coupled.validate(), "coupled");
+}
+
+TEST(EdgeCases, ZeroDivisorsFailInsteadOfCrashing)
+{
+    // Each would divide by zero (SIGFPE, no message) if validate()
+    // divided before it checked.
+    dram::DeviceConfig cfg = testutil::tinyPlain();
+    cfg.edgeSectionRows = 0;
+    EXPECT_DEATH(cfg.validate(), "tiny-plain: zero edgeSectionRows");
+
+    cfg = testutil::tinyPlain();
+    cfg.matWidth = 0;
+    EXPECT_DEATH(cfg.validate(), "tiny-plain: zero matWidth");
+
+    cfg = testutil::tinyPlain();
+    cfg.rowBits = 0;
+    EXPECT_DEATH(cfg.validate(), "tiny-plain: zero rowBits");
+
+    cfg = testutil::tinyPlain();
+    cfg.rdDataBits = 0;
+    EXPECT_DEATH(cfg.validate(), "tiny-plain: rdDataBits must be in");
+}
+
+TEST(EdgeCases, BurstsWiderThan64BitsDie)
+{
+    // Consistent in every other respect (two bursts of 4 MATs x 32
+    // bits per 256-bit row), but a burst is one uint64_t.
+    dram::DeviceConfig cfg = testutil::tinyPlain();
+    cfg.rdDataBits = 128;
+    cfg.swizzlePerm.resize(cfg.groupBits());
+    std::iota(cfg.swizzlePerm.begin(), cfg.swizzlePerm.end(), 0u);
+    EXPECT_DEATH(cfg.validate(), "tiny-plain: rdDataBits must be in");
+
+    cfg.rdDataBits = 64;
+    cfg.swizzlePerm.resize(cfg.groupBits());
+    cfg.validate();
 }
 
 TEST(EdgeCases, RowAddressBoundsAreEnforced)
