@@ -27,28 +27,32 @@ namespace dram {
 class Swizzle
 {
   public:
+    /** @param cfg A validated configuration. */
     explicit Swizzle(const DeviceConfig &cfg)
         : mats_per_row_(cfg.matsPerRow()), group_bits_(cfg.groupBits()),
           mat_width_(cfg.matWidth), row_bits_(cfg.rowBits),
-          perm_(cfg.swizzlePerm), inv_perm_(perm_.size())
+          inv_perm_(cfg.swizzlePerm.size()), col0_bl_(cfg.rdDataBits)
     {
-        for (uint32_t i = 0; i < perm_.size(); ++i)
-            inv_perm_[perm_[i]] = i;
+        const std::vector<uint32_t> &perm = cfg.swizzlePerm;
+        for (uint32_t i = 0; i < perm.size(); ++i)
+            inv_perm_[perm[i]] = i;
+        // rd_bit's MAT is rd_bit % matsPerRow and its intra-group
+        // slot is permuted by the vendor swizzle.
+        for (uint32_t rd_bit = 0; rd_bit < col0_bl_.size(); ++rd_bit) {
+            col0_bl_[rd_bit] = rd_bit % mats_per_row_ * mat_width_ +
+                               perm[rd_bit / mats_per_row_];
+        }
     }
 
     /**
-     * Physical bitline of RD_data bit @p rd_bit at column @p col.
-     * rd_bit's MAT is rd_bit % matsPerRow and its intra-group slot is
-     * permuted by the vendor swizzle.
+     * Physical bitline of RD_data bit @p rd_bit at column @p col: a
+     * column shifts every bit of the burst by groupBits() bitlines.
      */
     BitlineIdx
     physicalBl(ColAddr col, uint32_t rd_bit) const
     {
-        const uint32_t mat = rd_bit % mats_per_row_;
-        const uint32_t intra = rd_bit / mats_per_row_;
-        panicIf(intra >= group_bits_, "Swizzle: rd_bit out of range");
-        const BitlineIdx bl =
-            mat * mat_width_ + col * group_bits_ + perm_[intra];
+        panicIf(rd_bit >= col0_bl_.size(), "Swizzle: rd_bit out of range");
+        const BitlineIdx bl = col0_bl_[rd_bit] + col * group_bits_;
         panicIf(bl >= row_bits_, "Swizzle: column out of range");
         return bl;
     }
@@ -70,8 +74,8 @@ class Swizzle
     uint32_t group_bits_;
     uint32_t mat_width_;
     uint32_t row_bits_;
-    std::vector<uint32_t> perm_;
     std::vector<uint32_t> inv_perm_;
+    std::vector<BitlineIdx> col0_bl_;  //!< physicalBl(0, rd_bit).
 };
 
 } // namespace dram
