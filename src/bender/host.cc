@@ -435,14 +435,7 @@ Host::readRow(dram::BankId b, dram::RowAddr row)
 BitVec
 Host::readRowBits(dram::BankId b, dram::RowAddr row)
 {
-    const auto cols = readRow(b, row);
-    const uint32_t w = config().rdDataBits;
-    BitVec bits(cols.size() * w);
-    for (size_t c = 0; c < cols.size(); ++c) {
-        for (uint32_t i = 0; i < w; ++i)
-            bits.set(c * w + i, (cols[c] >> i) & 1ULL);
-    }
-    return bits;
+    return BitVec::fromBursts(readRow(b, row), config().rdDataBits);
 }
 
 void

@@ -33,14 +33,6 @@ SubarrayMapper::probeCopy(dram::RowAddr src, dram::RowAddr dst,
         cols.push_back(k * all_cols / n_sample);
 
     const uint32_t w = host_.config().rdDataBits;
-    auto to_bits = [&](const std::vector<uint64_t> &data) {
-        BitVec bits(data.size() * w);
-        for (size_t c = 0; c < data.size(); ++c) {
-            for (uint32_t i = 0; i < w; ++i)
-                bits.set(c * w + i, (data[c] >> i) & 1ULL);
-        }
-        return bits;
-    };
 
     // Two trials with opposite source data: destination bits that
     // depend on the source are the copied bits, regardless of any
@@ -48,12 +40,14 @@ SubarrayMapper::probeCopy(dram::RowAddr src, dram::RowAddr dst,
     host_.writeColumns(b, dst, cols, 0);
     host_.writeColumns(b, src, cols, ~0ULL);
     host_.rowCopy(b, src, dst);
-    const BitVec d_ones = to_bits(host_.readColumns(b, dst, cols));
+    const BitVec d_ones =
+        BitVec::fromBursts(host_.readColumns(b, dst, cols), w);
 
     host_.writeColumns(b, dst, cols, 0);
     host_.writeColumns(b, src, cols, 0);
     host_.rowCopy(b, src, dst);
-    const BitVec d_zeros = to_bits(host_.readColumns(b, dst, cols));
+    const BitVec d_zeros =
+        BitVec::fromBursts(host_.readColumns(b, dst, cols), w);
 
     const size_t n = d_ones.size();
     const size_t changed = d_ones.hammingDistance(d_zeros);

@@ -33,6 +33,29 @@ class BitVec
         trimTail();
     }
 
+    /**
+     * Packs RD_data bursts of @p width bits each (1..64): bit i of
+     * burst c lands at c * width + i; bits above @p width are
+     * ignored.  Works a word at a time.
+     */
+    static BitVec
+    fromBursts(const std::vector<uint64_t> &bursts, unsigned width)
+    {
+        panicIf(width == 0 || width > 64, "fromBursts: bad width");
+        const uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+        BitVec out(bursts.size() * width);
+        size_t pos = 0;
+        for (const uint64_t burst : bursts) {
+            const uint64_t bits = burst & mask;
+            const size_t off = pos & 63;
+            out.words_[pos >> 6] |= bits << off;
+            if (off + width > 64)
+                out.words_[(pos >> 6) + 1] |= bits >> (64 - off);
+            pos += width;
+        }
+        return out;
+    }
+
     /** Number of bits. */
     size_t size() const { return size_; }
 

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "bender/host.h"
+#include "dram/chip.h"
+#include "mapping/dimm.h"
+#include "test_common.h"
 #include "util/bitvec.h"
+#include "util/rng.h"
 
 namespace dramscope {
 namespace {
@@ -121,6 +126,52 @@ TEST(BitVec, ToStringTruncates)
     BitVec v(300, true);
     const std::string s = v.toString(8);
     EXPECT_EQ(s, "11111111...");
+}
+
+TEST(BitVec, FromBurstsMatchesThePerBitLoop)
+{
+    // Every width, including 1/24/32/64; 37 bursts leave a partial
+    // last word, and all 64 bits of each burst are random so the
+    // bits above the width must be dropped.
+    Rng rng(7);
+    std::vector<uint64_t> bursts(37);
+    for (auto &b : bursts)
+        b = rng.next();
+    for (unsigned w = 1; w <= 64; ++w) {
+        BitVec want(bursts.size() * w);
+        for (size_t c = 0; c < bursts.size(); ++c) {
+            for (unsigned i = 0; i < w; ++i)
+                want.set(c * w + i, (bursts[c] >> i) & 1ULL);
+        }
+        EXPECT_EQ(BitVec::fromBursts(bursts, w), want) << "width " << w;
+    }
+    EXPECT_TRUE(BitVec::fromBursts({}, 24).empty());
+}
+
+/** Random row bits written through @p dev and read back. */
+void
+expectRowBitsRoundTrip(dram::Device &dev)
+{
+    bender::Host host(dev);
+    const auto &cfg = host.config();
+    BitVec bits(size_t(cfg.columnsPerRow()) * cfg.rdDataBits);
+    Rng rng(11);
+    for (size_t i = 0; i < bits.size(); ++i)
+        bits.set(i, rng.next() & 1ULL);
+    host.writeRowBits(0, 7, bits);
+    EXPECT_EQ(host.readRowBits(0, 7), bits);
+}
+
+TEST(BitVec, RowBitsRoundTripOnAChip)
+{
+    dram::Chip chip(testutil::tinyPlain());
+    expectRowBitsRoundTrip(chip);
+}
+
+TEST(BitVec, RowBitsRoundTripOnADimm)
+{
+    mapping::Dimm dimm(testutil::tinyPlain());
+    expectRowBitsRoundTrip(dimm);
 }
 
 } // namespace
