@@ -418,31 +418,6 @@ Bank::chargeRef(RowAddr row, NanoTime now)
 }
 
 bool
-Bank::chargeAt(RowAddr row, BitlineIdx bl, NanoTime now)
-{
-    panicIf(bl >= cfg_.rowBits, "chargeAt: bitline out of range");
-    return rowState(row, now).charge.get(bl);
-}
-
-void
-Bank::writeCharge(RowAddr row, BitlineIdx first_bl,
-                  const std::vector<bool> &bits, NanoTime now)
-{
-    panicIf(first_bl + bits.size() > cfg_.rowBits,
-            "writeCharge: out of range");
-    RowState &rs = rowState(row, now);
-    for (size_t i = 0; i < bits.size(); ++i)
-        rs.charge.set(first_bl + i, bits[i]);
-}
-
-void
-Bank::setChargeCell(RowAddr row, BitlineIdx bl, bool charge, NanoTime now)
-{
-    panicIf(bl >= cfg_.rowBits, "setChargeCell: out of range");
-    rowState(row, now).charge.set(bl, charge);
-}
-
-bool
 Bank::dataToCharge(RowAddr row, bool data) const
 {
     return map_.polarityOf(row) == CellPolarity::True ? data : !data;
@@ -452,12 +427,6 @@ bool
 Bank::chargeToData(RowAddr row, bool charge) const
 {
     return map_.polarityOf(row) == CellPolarity::True ? charge : !charge;
-}
-
-bool
-Bank::dataAt(RowAddr row, BitlineIdx bl, NanoTime now)
-{
-    return chargeToData(row, chargeAt(row, bl, now));
 }
 
 void

@@ -145,29 +145,12 @@ class Bank
      */
     bool applyRowCopy(RowAddr src, RowAddr dst, NanoTime now);
 
-    /** Reads the charge of one cell (materializing the row). */
-    bool chargeAt(RowAddr row, BitlineIdx bl, NanoTime now);
-
     /**
      * Direct reference to a row's charge (materializing it).  Hot
      * path of the RD/WR burst loops; the caller must have applied
      * the usual barriers (an ACT of the row does).
      */
     BitVec &chargeRef(RowAddr row, NanoTime now);
-
-    /**
-     * Writes data bits [first_bl, first_bl + bits.size()) of @p row.
-     * Caller must have applied commit barriers (Chip does).
-     */
-    void writeCharge(RowAddr row, BitlineIdx first_bl,
-                     const std::vector<bool> &bits, NanoTime now);
-
-    /** Writes one cell's charge (hot path of the RD/WR data path). */
-    void setChargeCell(RowAddr row, BitlineIdx bl, bool charge,
-                       NanoTime now);
-
-    /** Data value of cell (charge interpreted through polarity). */
-    bool dataAt(RowAddr row, BitlineIdx bl, NanoTime now);
 
     /** Converts a data bit to charge for @p row's polarity. */
     bool dataToCharge(RowAddr row, bool data) const;
