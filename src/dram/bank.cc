@@ -46,12 +46,24 @@ Bank::rowState(RowAddr row, NanoTime now)
     panicIf(row >= cfg_.rowsPerBank, "Bank: row out of range");
     auto it = rows_.find(row);
     if (it == rows_.end()) {
+        if (restored_.empty()) {
+            pending_ = BitVec(cfg_.rowsPerBank);
+            restored_ = BitVec(cfg_.rowsPerBank);
+        }
         RowState rs;
         rs.charge = BitVec(cfg_.rowBits, false);  // Power-up: discharged.
-        rs.lastRestoreNs = now;
         it = rows_.emplace(row, std::move(rs)).first;
+        noteRestore(row, it->second, now);
     }
     return it->second;
+}
+
+void
+Bank::noteRestore(RowAddr row, RowState &rs, NanoTime now)
+{
+    rs.lastRestoreNs = now;
+    restored_.set(row, true);
+    oldestRestoreNs_ = std::min(oldestRestoreNs_, now);
 }
 
 double
@@ -271,7 +283,7 @@ void
 Bank::commitRetention(RowAddr row, RowState &rs, NanoTime now)
 {
     const double min_ns = cfg_.retention.minEvalElapsedMs * 1.0e6;
-    const double elapsed_ns = double(now - rs.lastRestoreNs);
+    const double elapsed_ns = double(now - restoreNs(row, rs));
     if (elapsed_ns < min_ns)
         return;
     // The scan is monotone in elapsed time: re-running it within the
@@ -296,7 +308,7 @@ Bank::restoreRow(RowAddr row, NanoTime now)
     RowState &rs = rowState(row, now);
     commitRetention(row, rs, now);
     commitDisturb(row, rs);
-    rs.lastRestoreNs = now;
+    noteRestore(row, rs, now);
 }
 
 void
@@ -321,6 +333,7 @@ Bank::registerAggressorDwell(RowAddr aggressor, double act_count,
         // upper neighbour (pending index 1) and vice versa.
         const int pend_idx = (dir == 1) ? 0 : 1;
         RowState &vs = rowState(*victim, now);
+        pending_.set(*victim, true);
         vs.pendHammer[pend_idx] += act_count;
         // Only dwell time beyond the onset stresses the victim the
         // RowPress way; ordinary RowHammer dwells contribute none.
@@ -351,7 +364,7 @@ Bank::applyAggregateDose(RowAddr aggressor, double act_count,
 void
 Bank::markRestored(RowAddr row, NanoTime now)
 {
-    rowState(row, now).lastRestoreNs = now;
+    noteRestore(row, rowState(row, now), now);
 }
 
 bool
@@ -432,21 +445,36 @@ Bank::chargeToData(RowAddr row, bool charge) const
 void
 Bank::refreshAll(NanoTime now)
 {
+    if (rows_.empty())
+        return;  // Nothing to restore, and no restore time to bound.
     // Commit in ascending row order: commitDisturb reads neighbour
     // charge, so hash-order iteration would let one row's flips leak
     // into an adjacent row's dose pattern in an order that differs
     // across standard libraries.
-    std::vector<RowAddr> order;
-    order.reserve(rows_.size());
-    for (const auto &kv : rows_) // determinism-ok: keys sorted below
-        order.push_back(kv.first);
-    std::sort(order.begin(), order.end());
-    for (const RowAddr row : order) {
-        RowState &rs = rows_.find(row)->second;
-        commitRetention(row, rs, now);
-        commitDisturb(row, rs);
-        rs.lastRestoreNs = now;
+    const double min_ns = cfg_.retention.minEvalElapsedMs * 1.0e6;
+    if (double(now - oldestRestoreNs_) < min_ns) {
+        // No row's retention clock can have reached the evaluation
+        // window, so commitRetention would skip every row; and a row
+        // without pending dose has nothing to commit.
+        pending_.forEachOne([&](size_t row) {
+            commitDisturb(RowAddr(row), rows_.find(RowAddr(row))->second);
+        });
+    } else {
+        std::vector<RowAddr> order;
+        order.reserve(rows_.size());
+        for (const auto &kv : rows_) // determinism-ok: keys sorted below
+            order.push_back(kv.first);
+        std::sort(order.begin(), order.end());
+        for (const RowAddr row : order) {
+            RowState &rs = rows_.find(row)->second;
+            commitRetention(row, rs, now);
+            commitDisturb(row, rs);
+        }
     }
+    // Every row is now restored at this REF.
+    pending_.fill(false);
+    restored_.fill(false);
+    refreshNs_ = oldestRestoreNs_ = now;
 }
 
 } // namespace dram

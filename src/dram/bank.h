@@ -15,6 +15,7 @@
 #ifndef DRAMSCOPE_DRAM_BANK_H
 #define DRAMSCOPE_DRAM_BANK_H
 
+#include <limits>
 #include <unordered_map>
 
 #include "dram/config.h"
@@ -39,7 +40,11 @@ struct RowState
     double pendHammer[2] = {0.0, 0.0};
     double pendPressNs[2] = {0.0, 0.0};
 
-    /** Last time this row's cells were fully restored (ACT or REF). */
+    /**
+     * Last time an ACT (or materialization) fully restored this row's
+     * cells.  Stale once a REF follows it: Bank::restoreNs() says
+     * which of the two restored the row last.
+     */
     NanoTime lastRestoreNs = 0;
 
     /**
@@ -161,6 +166,11 @@ class Bank
     /**
      * Commits and restores every materialized row (REF semantics;
      * the model refreshes the whole bank per REF, see DESIGN.md).
+     * Costs only what changed since the previous REF: while no row
+     * can have reached the retention evaluation window, it commits
+     * the rows with pending dose and leaves the others as they are,
+     * their restore time moving to @p now in one step.  Otherwise it
+     * walks every materialized row in ascending order.
      */
     void refreshAll(NanoTime now);
 
@@ -176,6 +186,20 @@ class Bank
   private:
     /** Returns the row state, materializing discharged cells. */
     RowState &rowState(RowAddr row, NanoTime now);
+
+    /** Records that @p row's cells were fully restored at @p now. */
+    void noteRestore(RowAddr row, RowState &rs, NanoTime now);
+
+    /**
+     * When @p row was last restored: its own ACT restore if one came
+     * after the last REF (in command order, not by timestamp), else
+     * that REF.
+     */
+    NanoTime
+    restoreNs(RowAddr row, const RowState &rs) const
+    {
+        return restored_.get(row) ? rs.lastRestoreNs : refreshNs_;
+    }
 
     /** Commits retention flips of @p rs (idempotent discharge). */
     void commitRetention(RowAddr row, RowState &rs, NanoTime now);
@@ -214,6 +238,18 @@ class Bank
     std::unordered_map<RowAddr, RowState> rows_;
     BankStats stats_;
     double tempDoseScale_ = 1.0;  //!< Precomputed temperature factor.
+
+    /**
+     * Rows that may hold pending dose since the last REF.  Allocated,
+     * like restored_, on the first materialization, so an untouched
+     * bank costs nothing.
+     */
+    BitVec pending_;
+    /** Rows restored (ACT, materialization) since the last REF. */
+    BitVec restored_;
+    NanoTime refreshNs_ = 0;  //!< Time of the last REF.
+    /** Lower bound on every materialized row's restoreNs(). */
+    NanoTime oldestRestoreNs_ = std::numeric_limits<NanoTime>::max();
 };
 
 } // namespace dram

@@ -163,19 +163,26 @@ class BitVec
 
     bool operator!=(const BitVec &other) const { return !(*this == other); }
 
+    /** Calls @p f with the index of every set bit, in ascending order. */
+    template <typename F>
+    void
+    forEachOne(F &&f) const
+    {
+        for (size_t wi = 0; wi < words_.size(); ++wi) {
+            uint64_t w = words_[wi];
+            while (w) {
+                f(wi * 64 + size_t(std::countr_zero(w)));
+                w &= w - 1;
+            }
+        }
+    }
+
     /** Indices of set bits (useful for error lists). */
     std::vector<size_t>
     onesPositions() const
     {
         std::vector<size_t> out;
-        for (size_t wi = 0; wi < words_.size(); ++wi) {
-            uint64_t w = words_[wi];
-            while (w) {
-                const int b = std::countr_zero(w);
-                out.push_back(wi * 64 + size_t(b));
-                w &= w - 1;
-            }
-        }
+        forEachOne([&](size_t i) { out.push_back(i); });
         return out;
     }
 

@@ -1,15 +1,19 @@
 /**
  * @file
  * Physics tests: disturbance, retention and RowCopy behaviour of the
- * bank, exercised through the full chip/host command path.
+ * bank, exercised through the full chip/host command path, and REF
+ * exactness checked on the Bank itself.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "bender/host.h"
 #include "core/physmap.h"
 #include "dram/chip.h"
 #include "test_common.h"
+#include "util/rng.h"
 
 namespace dramscope {
 namespace {
@@ -468,6 +472,120 @@ TEST_F(RowCopyTest, AntiCellSubarraysCopyDataAsIs)
     host.rowCopy(0, 50, 40);
     // Copied (odd-bitline) data equals the source data: still ones.
     EXPECT_EQ(host.readRowBits(0, 40).popcount(), size_t(cfg.rowBits));
+}
+
+// REF exactness, differentially: bank A refreshes with refreshAll,
+// bank B with REF's definition, restoreRow of every materialized row
+// in ascending order.  Both see the same seeded operation stream,
+// including time running backwards (a second host on an earlier
+// clock), and must agree after every REF.
+struct RefreshCounts
+{
+    uint64_t refs = 0;
+    uint64_t disturbFlips = 0;
+    uint64_t retentionFlips = 0;
+};
+
+RefreshCounts
+runRefreshDifferential(uint64_t seed, int ops)
+{
+    DeviceConfig cfg = dram::makeTinyConfig();
+    cfg.temperatureC = 95.0;  // So that 25-425 ms steps decay cells.
+    const dram::SubarrayMap map(cfg);
+    dram::Bank a(cfg, map, 0);
+    dram::Bank b(cfg, map, 0);
+    Rng rng(seed);
+    std::set<RowAddr> touched;
+    RefreshCounts counts;
+    dram::NanoTime now = 1'000'000'000;
+
+    // Rows 0..127: the edge subarray and two subarray boundaries.
+    auto row = [&] { return RowAddr(rng.below(128)); };
+    auto dwell = [&](bool aggregate) {
+        const RowAddr aggr = row();
+        const bool press = rng.chance(0.3);
+        const double acts = double(rng.range(1, press ? 20000 : 200000));
+        const double open_ns = press ? rng.uniform(1000.0, 10000.0) : 36.0;
+        for (dram::Bank *bk : {&a, &b}) {
+            if (aggregate)
+                bk->applyAggregateDose(aggr, acts, open_ns, now);
+            else
+                bk->registerAggressorDwell(aggr, acts, open_ns, now);
+        }
+        for (const bool up : {false, true}) {
+            if (const auto v = map.neighbor(aggr, up))
+                touched.insert(*v);
+        }
+    };
+
+    for (int i = 0; i < ops; ++i) {
+        const double step = rng.uniform();
+        if (step < 0.70)
+            now += rng.range(0, 10'000);
+        else if (step < 0.82)
+            now += rng.range(1'000'000, 21'000'000);
+        else if (step < 0.94)
+            now += rng.range(25'000'000, 425'000'000);
+        else
+            now -= rng.range(0, 30'000'000);
+
+        const double op = rng.uniform();
+        if (op < 0.10) {
+            a.refreshAll(now);
+            for (const RowAddr r : touched)
+                b.restoreRow(r, now);
+            ++counts.refs;
+            EXPECT_EQ(a.materializedRows(), touched.size());
+            EXPECT_EQ(b.materializedRows(), touched.size());
+            EXPECT_EQ(a.stats().disturbFlips, b.stats().disturbFlips);
+            EXPECT_EQ(a.stats().retentionFlips, b.stats().retentionFlips);
+            for (const RowAddr r : touched)
+                EXPECT_EQ(a.chargeRef(r, now), b.chargeRef(r, now)) << r;
+            if (::testing::Test::HasFailure())
+                return counts;
+        } else if (op < 0.40) {
+            dwell(false);
+        } else if (op < 0.45) {
+            dwell(true);
+        } else if (op < 0.60) {
+            const RowAddr r = row();
+            a.restoreRow(r, now);
+            b.restoreRow(r, now);
+            touched.insert(r);
+        } else if (op < 0.70) {
+            const RowAddr r = row();
+            a.commitRow(r, now);
+            b.commitRow(r, now);
+        } else if (op < 0.75) {
+            const RowAddr r = row();
+            a.markRestored(r, now);
+            b.markRestored(r, now);
+            touched.insert(r);
+        } else {
+            const RowAddr r = row();
+            const uint64_t pattern = rng.next();
+            const unsigned bits = unsigned(rng.range(1, 64));
+            a.chargeRef(r, now).fillPattern(pattern, bits);
+            b.chargeRef(r, now).fillPattern(pattern, bits);
+            touched.insert(r);
+        }
+    }
+    counts.disturbFlips = a.stats().disturbFlips;
+    counts.retentionFlips = a.stats().retentionFlips;
+    return counts;
+}
+
+TEST(RefreshDifferential, MatchesRestoringEveryMaterializedRow)
+{
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        const RefreshCounts c = runRefreshDifferential(seed, 2000);
+        ASSERT_FALSE(HasFailure());
+        // The stream exercises what REF must get right.
+        EXPECT_GT(c.refs, 150u);
+        EXPECT_GT(c.disturbFlips, 1000u);
+        EXPECT_GT(c.retentionFlips, 1000u);
+    }
 }
 
 } // namespace
