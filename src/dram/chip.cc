@@ -46,7 +46,7 @@ Chip::coupledPartner(RowAddr phys_row) const
 }
 
 void
-Chip::violate(const std::string &what, NanoTime now)
+Chip::violate(const char *what, NanoTime now)
 {
     ++violation_count_;
     if (violations_.size() < 1024)

@@ -14,7 +14,6 @@
 #define DRAMSCOPE_DRAM_CHIP_H
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "dram/bank.h"
@@ -70,7 +69,9 @@ class Chip final : public Device
 
     /**
      * Refresh: commits and restores every materialized row of every
-     * bank.  All banks must be precharged.
+     * bank.  All banks must be precharged.  Each bank commits only
+     * the rows that changed since the previous REF unless a row may
+     * have reached the retention evaluation window (Bank::refreshAll).
      */
     void refresh(NanoTime now) override;
 
@@ -153,7 +154,11 @@ class Chip final : public Device
         bool lastHadPartner = false;
     };
 
-    void violate(const std::string &what, NanoTime now);
+    /**
+     * Counts a violation and logs it while the log has room; the
+     * message string is built only when it is logged.
+     */
+    void violate(const char *what, NanoTime now);
 
     /** Wordlines driven by activating @p phys_row (edge/coupling). */
     uint64_t wordlineCost(RowAddr phys_row) const;

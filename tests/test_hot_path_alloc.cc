@@ -6,7 +6,8 @@
  * versions, so it builds into its own test binary: the counter sees
  * no other test and slows none.  Once a row is materialized, RD/WR
  * bursts, BitVec bit access, Swizzle lookups and passing checks must
- * not touch the heap.
+ * not touch the heap; nor must ACT/PRE/REF over materialized rows, or
+ * a violation once the violation log is full.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +29,10 @@ std::atomic<uint64_t> g_allocs{0};
 
 } // namespace
 
-void *
+// None of these is inlined: GCC would otherwise pair the malloc() or
+// free() inside with the caller's delete or new and warn
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -37,8 +41,6 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-// Not inlined: GCC would otherwise pair free() with the caller's new
-// and warn (-Wmismatched-new-delete).
 [[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
@@ -153,6 +155,54 @@ TEST(HotPathAlloc, SwizzleLookup)
         // Every (column, bit) pair lands on its own bitline.
         EXPECT_EQ(hit.popcount(), size_t(cfg.rowBits));
     }
+}
+
+TEST(HotPathAlloc, RefreshCycles)
+{
+    dram::Chip chip(dram::makePreset("A_x8_2018"));
+    dram::NanoTime now = 1000;
+    auto act_pre = [&](dram::RowAddr row) {
+        chip.act(0, row, now);
+        chip.pre(0, now + 40);
+        now += 100;
+    };
+    // A few thousand rows materialized, then one warm-up REF.
+    for (dram::RowAddr row = 0; row < 4000; ++row)
+        act_pre(row);
+    chip.refresh(now);
+    now += 400;
+    const size_t rows = chip.bank(0).materializedRows();
+    EXPECT_GE(rows, 4000u);
+
+    const uint64_t n = allocationsDuring([&] {
+        for (uint32_t i = 0; i < 1000; ++i) {
+            act_pre(100 + (i * 7) % 3800);
+            chip.refresh(now);
+            now += 400;
+        }
+    });
+    EXPECT_EQ(n, 0u);
+    EXPECT_EQ(chip.bank(0).materializedRows(), rows);
+    EXPECT_EQ(chip.stats().refs, 1001u);
+    EXPECT_EQ(chip.violationCount(), 0u);
+}
+
+TEST(HotPathAlloc, ViolationsPastTheLogCap)
+{
+    dram::Chip chip(dram::makePreset("A_x4_2016"));
+    // Warm-up: fill the 1024-entry log.
+    for (dram::NanoTime t = 0; t < 1024; ++t)
+        g_sink = chip.read(0, 0, t);
+    ASSERT_EQ(chip.violations().size(), 1024u);
+
+    const uint64_t n = allocationsDuring([&] {
+        for (dram::NanoTime t = 1024; t < 11024; ++t)
+            g_sink = chip.read(0, 0, t);
+    });
+    EXPECT_EQ(n, 0u);
+    EXPECT_EQ(chip.violationCount(), 11024u);
+    EXPECT_EQ(chip.violations().size(), 1024u);
+    EXPECT_EQ(chip.violations().back().what, "RD to closed bank");
 }
 
 TEST(HotPathAlloc, PassingChecks)
