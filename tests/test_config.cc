@@ -124,8 +124,9 @@ TEST(Config, CoupledDistanceIsHalfTheBank)
 {
     for (const auto &id : presetIds()) {
         const DeviceConfig cfg = makePreset(id);
-        if (cfg.coupledRowDistance)
+        if (cfg.coupledRowDistance) {
             EXPECT_EQ(*cfg.coupledRowDistance, cfg.rowsPerBank / 2) << id;
+        }
     }
 }
 

@@ -127,8 +127,9 @@ TEST_F(ModelProperties, DoubleSidedDoseIsAdditive)
     const BitVec upper_only = run(false, true);
     const BitVec both = run(true, true);
     for (size_t i = 0; i < both.size(); ++i) {
-        if (lower_only.get(i) || upper_only.get(i))
+        if (lower_only.get(i) || upper_only.get(i)) {
             EXPECT_TRUE(both.get(i)) << i;
+        }
     }
     EXPECT_GT(both.popcount(),
               std::max(lower_only.popcount(), upper_only.popcount()));
