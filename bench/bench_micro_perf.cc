@@ -291,6 +291,36 @@ BM_RetentionScan(benchmark::State &state)
 }
 BENCHMARK(BM_RetentionScan);
 
+/**
+ * One ACT+PRE and one REF after N ACTs to every other row of bank 0
+ * (about 4N rows materialized, with neighbours and coupled partners):
+ * a REF should cost what changed since the previous one, not N.
+ */
+void
+BM_Refresh(benchmark::State &state)
+{
+    dram::Chip chip(benchConfig());
+    const auto n = dram::RowAddr(state.range(0));
+    dram::NanoTime now = 1000;
+    auto act_pre = [&](dram::RowAddr row) {
+        chip.act(0, row, now);
+        chip.pre(0, now + 40);
+        now += 100;
+    };
+    for (dram::RowAddr row = 0; row < n; ++row)
+        act_pre(2 * row);
+    chip.refresh(now);
+    dram::RowAddr row = 0;
+    for (auto _ : state) {
+        now += 400;
+        act_pre(2 * row);
+        chip.refresh(now);
+        row = (row + 1) % n;
+    }
+    state.counters["rows"] = double(chip.bank(0).materializedRows());
+}
+BENCHMARK(BM_Refresh)->Arg(1024)->Arg(16384);
+
 } // namespace
 
 BENCHMARK_MAIN();
