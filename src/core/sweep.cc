@@ -19,11 +19,13 @@
 
 #include "core/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -250,9 +252,12 @@ class ShardJournal
             return out;
         }
 
+        // A line counts only with its newline: a kill mid-append
+        // leaves a torn tail, which is never parsed and is cut below.
         std::string line;
         bool have_header = false;
-        while (std::getline(in, line)) {
+        std::streamoff kept = 0;  // End of the last accepted line.
+        while (std::getline(in, line) && !in.eof()) {
             const char *p = line.c_str();
             if (!have_header) {
                 if (line.empty())
@@ -275,6 +280,7 @@ class ShardJournal
                         "(config hash mismatch); refusing to resume");
                 }
                 have_header = true;
+                kept = in.tellg();
                 continue;
             }
             uint64_t shard = 0, attempts = 0;
@@ -285,8 +291,8 @@ class ShardJournal
                 !scanU64(p, attempts) ||
                 !expectKey(p, "\"payload\":\"") ||
                 !jsonUnescape(p, rec.payload)) {
-                // A torn trailing record is exactly the kill-mid-
-                // append case the journal exists for; ignore it.
+                // An unreadable record ends the journal: it and
+                // everything after it are cut below.
                 break;
             }
             if (shard >= shards)
@@ -294,6 +300,7 @@ class ShardJournal
                                   ": shard index out of range");
             rec.attempts = uint32_t(attempts);
             out[uint32_t(shard)] = std::move(rec);
+            kept = in.tellg();
         }
         in.close();
 
@@ -302,7 +309,10 @@ class ShardJournal
             openFresh(path, hash, shards);
             return out;
         }
-        file_ = std::fopen(path.c_str(), "a");
+        // Cut what was not accepted, so the next record starts on a
+        // line of its own instead of being glued onto a torn tail.
+        if (::truncate(path.c_str(), off_t(kept)) == 0)
+            file_ = std::fopen(path.c_str(), "a");
         if (!file_)
             throw ResumeError("cannot reopen checkpoint file " + path);
         return out;
@@ -444,15 +454,20 @@ SweepRunner::forEachShard(uint32_t shards,
         return;
     }
 
-    if (!pool_) {
-        pool_ = std::make_unique<ThreadPool>(jobs_);
-        replicas_.resize(pool_->size());
-    }
+    // Worker w drives only replica w and runs its own stride of shards
+    // (w, w + n, ...) first, then the unclaimed shards of the other
+    // strides, which rebalances a slow worker.  Own stride first keeps
+    // a shard on the replica that ran it last sweep: a replica commits
+    // the pending dose of the rows its shards left at its next barrier,
+    // so the replica changes a shard's cost, though not its result.
+    const uint32_t n = std::min<uint32_t>(jobs_, shards);
+    if (replicas_.size() < n)
+        replicas_.resize(n);
     const dram::DeviceConfig &cfg = host_.config();
-    parallelFor(*pool_, shards, [&](uint64_t s) {
+    const auto run_shard = [&](uint32_t w, uint32_t s) {
         // Each worker touches only its own replica slot, so the lazy
         // construction below is race-free without locking.
-        auto &replica = replicas_[size_t(ThreadPool::currentWorker())];
+        auto &replica = replicas_[w];
         if (!replica) {
             replica = std::make_unique<Replica>(
                 factory_ ? factory_(cfg)
@@ -476,10 +491,31 @@ SweepRunner::forEachShard(uint32_t shards,
                 faulty->setMetrics(want);
             faulty->beginShard(s, 1);
         }
-        ShardContext ctx{replica->host, Rng(hashCombine(seed_, s)),
-                         uint32_t(s), shards};
+        ShardContext ctx{replica->host, Rng(hashCombine(seed_, s)), s,
+                         shards};
         unit(ctx);
-    });
+    };
+
+    std::vector<std::atomic<uint32_t>> claimed(n);  // Per stride.
+    std::vector<std::exception_ptr> errors(shards);
+    const auto work = [&](uint32_t w) {
+        for (uint32_t k = 0; k < n; ++k) {
+            const uint32_t stride = (w + k) % n;
+            uint64_t s = 0;
+            while ((s = stride + uint64_t(n) * claimed[stride]++) < shards) {
+                try {
+                    run_shard(w, uint32_t(s));
+                } catch (...) {
+                    errors[s] = std::current_exception();
+                }
+            }
+        }
+    };
+    {
+        std::vector<std::jthread> workers;
+        for (uint32_t w = 0; w < n; ++w)
+            workers.emplace_back(work, w);
+    }  // Joins every worker.
 
     if (want_metrics) {
         // Drain replica registries into the caller's, in replica
@@ -492,6 +528,11 @@ SweepRunner::forEachShard(uint32_t shards,
             host_.metrics()->merge(replica->metrics);
             replica->metrics.reset();
         }
+    }
+    // The lowest-indexed failure, whichever failed first in time.
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
 }
 

@@ -61,7 +61,6 @@
 
 #include "bender/host.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
 
 namespace dramscope {
 namespace core {
@@ -238,9 +237,9 @@ class ResumeError : public std::runtime_error
 using ResilientUnit = std::function<std::string(ShardContext &)>;
 
 /**
- * Runs sweep units across a lazily created worker pool, one device
- * replica per worker.  The pool and the replicas persist across
- * calls, so repeated figure entry points pay the spin-up cost once.
+ * Runs sweep units on up to jobs() threads started for each call, one
+ * lazily built device replica per thread.  The replicas persist
+ * across calls, so repeated figure entry points build them once.
  */
 class SweepRunner
 {
@@ -279,7 +278,8 @@ class SweepRunner
     }
 
     /** Runs @p unit once per shard; results via side effects into
-     *  shard-indexed slots (no two shards may share a slot). */
+     *  shard-indexed slots (no two shards may share a slot).  Rethrows
+     *  the lowest-indexed failure, in parallel once every shard ran. */
     void forEachShard(uint32_t shards,
                       const std::function<void(ShardContext &)> &unit);
 
@@ -287,7 +287,7 @@ class SweepRunner
      * Runs @p unit once per shard with failure containment: a
      * throwing or (watchdog) over-budget shard is retried per
      * @p opts.retry with deterministic backoff, then quarantined —
-     * it never propagates out of the pool or aborts the sweep.  A
+     * it never propagates out of its worker or aborts the sweep.  A
      * dram::DeviceDeadError quarantines immediately (hard faults are
      * not retriable).  With a checkpoint path set, completed shards
      * are journaled (fsync per record) and opts.resume skips them on
@@ -323,7 +323,6 @@ class SweepRunner
     unsigned jobs_;
     uint64_t seed_;
     DeviceFactory factory_;
-    std::unique_ptr<ThreadPool> pool_;
     std::vector<std::unique_ptr<Replica>> replicas_;
 };
 

@@ -6,6 +6,7 @@
 #include "mc/workload.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -197,12 +198,15 @@ struct LineParser
     number()
     {
         ws();
-        const size_t start = i;
-        while (i < s.size() && std::isdigit(uint8_t(s[i])))
-            ++i;
-        if (i == start)
+        uint64_t v = 0;
+        const auto [end, ec] =
+            std::from_chars(s.data() + i, s.data() + s.size(), v);
+        if (ec == std::errc::invalid_argument)
             fail("expected a number");
-        return std::stoull(s.substr(start, i - start));
+        if (ec == std::errc::result_out_of_range)
+            fail("number out of range");
+        i = size_t(end - s.data());
+        return v;
     }
 
     bool
@@ -236,13 +240,23 @@ readTrace(const std::string &path)
         for (;;) {
             const std::string key = p.string();
             p.expect(':');
+            bool *have = key == "arrival_ps" ? &haveArrival
+                         : key == "addr"     ? &haveAddr
+                         : key == "type"     ? &haveType
+                                             : nullptr;
+            if (!have)
+                p.fail("unknown key '" + key + "'");
+            if (*have)
+                p.fail("duplicate key '" + key + "'");
+            *have = true;
             if (key == "arrival_ps") {
-                r.arrivalPs = int64_t(p.number());
-                haveArrival = true;
+                const uint64_t v = p.number();
+                if (v > uint64_t(INT64_MAX))
+                    p.fail("arrival_ps out of range");
+                r.arrivalPs = int64_t(v);
             } else if (key == "addr") {
                 r.addr = p.number();
-                haveAddr = true;
-            } else if (key == "type") {
+            } else {
                 const std::string v = p.string();
                 if (v == "rd")
                     r.type = ReqType::Read;
@@ -250,9 +264,6 @@ readTrace(const std::string &path)
                     r.type = ReqType::Write;
                 else
                     p.fail("type must be \"rd\" or \"wr\"");
-                haveType = true;
-            } else {
-                p.fail("unknown key '" + key + "'");
             }
             p.ws();
             if (p.i < line.size() && line[p.i] == ',') {

@@ -217,6 +217,41 @@ TEST(McTrace, UnknownKeysAndBadTypesAreRejected)
     std::remove(path.c_str());
 }
 
+TEST(McTrace, OutOfRangeNumbersAndRepeatedKeysAreRejected)
+{
+    const std::string path = testing::TempDir() + "mc_trace_bad3.jsonl";
+    for (const char *line :
+         {"{\"arrival_ps\":99999999999999999999999,\"addr\":3,"
+          "\"type\":\"rd\"}",
+          "{\"arrival_ps\":18446744073709551615,\"addr\":3,"
+          "\"type\":\"rd\"}",
+          "{\"arrival_ps\":1,\"arrival_ps\":2,\"addr\":3,"
+          "\"type\":\"rd\"}"}) {
+        {
+            std::ofstream out(path, std::ios::trunc);
+            out << line << "\n";
+        }
+        try {
+            mc::readTrace(path);
+            ADD_FAILURE() << "accepted " << line;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("trace:1"),
+                      std::string::npos)
+                << e.what();
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << line << " threw an untyped " << e.what();
+        }
+    }
+    // The largest arrival time still fits.
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << "{\"arrival_ps\":9223372036854775807,\"addr\":3,"
+               "\"type\":\"rd\"}\n";
+    }
+    EXPECT_EQ(mc::readTrace(path).at(0).arrivalPs, INT64_MAX);
+    std::remove(path.c_str());
+}
+
 TEST(McTrace, MissingFileThrows)
 {
     EXPECT_THROW(mc::readTrace("/nonexistent/mc.jsonl"),

@@ -637,6 +637,39 @@ TEST_F(ResilientSweepTest, ResumeToleratesTornTrailingRecord)
     EXPECT_EQ(resumed.payloads(), full.payloads());
 }
 
+TEST_F(ResilientSweepTest, SecondResumeAfterATornPayloadIsBitIdentical)
+{
+    constexpr uint32_t kShards = 4;
+    TempJournal journal;
+    ResilienceOptions opts;
+    opts.checkpointPath = journal.path();
+    opts.tag = "torn-payload";
+
+    auto runner = makeRunner(1);
+    const auto full = runner.runResilient(kShards, berUnit, opts);
+    const auto lines = journal.lines();
+    ASSERT_EQ(lines.size(), 1u + kShards);
+
+    // A serial run journals in shard order; kill it inside the third
+    // record's payload.  The first resume appends after that torn
+    // tail, and the second must read those appends as records of
+    // their own.
+    const size_t cut = lines[3].find("flips") + 5;
+    ASSERT_LT(cut, lines[3].size());
+    journal.writeLines({lines[0], lines[1], lines[2]},
+                       lines[3].substr(0, cut));
+    ResilienceOptions ropts = opts;
+    ropts.resume = true;
+    for (const uint64_t want_resumed : {uint64_t(2), uint64_t(kShards)}) {
+        dram::Chip chip2(cfg_);
+        bender::Host host2(chip2);
+        SweepRunner runner2(host2, SweepOptions(1, 0x5eedULL));
+        const auto resumed = runner2.runResilient(kShards, berUnit, ropts);
+        EXPECT_EQ(resumed.resumed, want_resumed);
+        EXPECT_EQ(resumed.payloads(), full.payloads());
+    }
+}
+
 TEST_F(ResilientSweepTest, ResumeRefusesConfigHashMismatch)
 {
     constexpr uint32_t kShards = 2;

@@ -1,25 +1,26 @@
 /**
  * @file
- * Sweep engine tests: thread-pool unit tests plus the determinism
- * contract — parallel (DRAMSCOPE_JOBS=4) results must be bit-identical
- * to serial (DRAMSCOPE_JOBS=1) for every sweep-routed figure entry
- * point.
+ * Sweep engine tests: the shard loop's scheduling and failure
+ * handling, plus the determinism contract — parallel
+ * (DRAMSCOPE_JOBS=4) results must be bit-identical to serial
+ * (DRAMSCOPE_JOBS=1) for every sweep-routed figure entry point.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <set>
+#include <memory>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/charact.h"
 #include "core/sweep.h"
 #include "dram/chip.h"
 #include "test_common.h"
 #include "util/metrics.h"
-#include "util/threadpool.h"
 
 namespace dramscope {
 namespace {
@@ -30,130 +31,6 @@ using core::ShardContext;
 using core::SweepOptions;
 using core::SweepRunner;
 using dram::AibMechanism;
-
-// ---------------------------------------------------------------------
-// ThreadPool unit tests.
-// ---------------------------------------------------------------------
-
-TEST(ThreadPool, FuturesDeliverResultsInSubmissionOrder)
-{
-    ThreadPool pool(4);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 100; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(futures[size_t(i)].get(), i * i);
-}
-
-TEST(ThreadPool, RunsEveryTaskAcrossWorkers)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    std::atomic<int> count{0};
-    parallelFor(pool, 1000, [&](uint64_t) { ++count; });
-    EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, ZeroTasksIsANoOp)
-{
-    ThreadPool pool(2);
-    bool ran = false;
-    parallelFor(pool, 0, [&](uint64_t) { ran = true; });
-    EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToAtLeastOne)
-{
-    ThreadPool pool(0);
-    EXPECT_GE(pool.size(), 1u);
-    auto fut = pool.submit([] { return 42; });
-    EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit(
-        []() -> int { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
-
-    // The pool survives a throwing task.
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, WorkersSurviveAFloodOfThrowingTasks)
-{
-    // Regression: a worker must never die with its queue (a lost
-    // worker would strand queued tasks and hang the pool at join).
-    // Exceptions thrown inside submitted tasks are captured into
-    // their futures — they are not "uncaught" escapes.
-    ThreadPool pool(4);
-    std::vector<std::future<int>> failing;
-    for (int i = 0; i < 100; ++i)
-        failing.push_back(pool.submit(
-            []() -> int { throw std::runtime_error("flood"); }));
-    for (auto &f : failing)
-        EXPECT_THROW(f.get(), std::runtime_error);
-    EXPECT_EQ(pool.uncaughtTaskErrors(), 0u);
-
-    // Every worker is still alive and processing.
-    std::atomic<int> count{0};
-    parallelFor(pool, 1000, [&](uint64_t) { ++count; });
-    EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, ParallelForRethrowsLowestIndexedException)
-{
-    ThreadPool pool(4);
-    std::atomic<int> completed{0};
-    try {
-        parallelFor(pool, 16, [&](uint64_t i) {
-            if (i == 3)
-                throw std::runtime_error("boom-3");
-            if (i == 11)
-                throw std::runtime_error("boom-11");
-            ++completed;
-        });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        // Deterministic: always the lowest failing index, regardless
-        // of which task happened to fail first in wall-clock order.
-        EXPECT_STREQ(e.what(), "boom-3");
-    }
-    // Every non-throwing task still ran (parallelFor joins them all).
-    EXPECT_EQ(completed.load(), 14);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i)
-            (void)pool.submit([&count] {
-                std::this_thread::sleep_for(std::chrono::microseconds(50));
-                ++count;
-            });
-    }
-    EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPool, CurrentWorkerIdentifiesPoolThreads)
-{
-    EXPECT_EQ(ThreadPool::currentWorker(), -1);
-    ThreadPool pool(3);
-    std::mutex mu;
-    std::set<int> seen;
-    parallelFor(pool, 64, [&](uint64_t) {
-        const int w = ThreadPool::currentWorker();
-        std::lock_guard<std::mutex> lock(mu);
-        seen.insert(w);
-    });
-    for (const int w : seen) {
-        EXPECT_GE(w, 0);
-        EXPECT_LT(w, 3);
-    }
-}
 
 // ---------------------------------------------------------------------
 // SweepRunner unit tests.
@@ -293,6 +170,86 @@ TEST_F(SweepRunnerTest, ReplicaRegistriesDrainOncePerSweep)
     runner.forEachShard(8, unit);
     host_.setMetrics(nullptr);
     EXPECT_EQ(metrics.snapshot().counterOr0("cmd.act"), 2 * once);
+}
+
+/** How often one sweep of @p runner ran each of @p shards shards. */
+std::vector<int>
+shardRunCounts(SweepRunner &runner, uint32_t shards)
+{
+    std::vector<std::atomic<int>> runs(shards);
+    runner.forEachShard(shards, [&](ShardContext &ctx) {
+        runs[ctx.shard].fetch_add(1, std::memory_order_relaxed);
+    });
+    return std::vector<int>(runs.begin(), runs.end());
+}
+
+TEST_F(SweepRunnerTest, EveryShardRunsExactlyOnce)
+{
+    SweepRunner runner(host_, SweepOptions{4, 0});
+    for (const uint32_t shards : {1u, 3u, 7u, 64u, 1000u}) {
+        EXPECT_EQ(shardRunCounts(runner, shards),
+                  std::vector<int>(shards, 1))
+            << shards << " shards";
+    }
+}
+
+TEST_F(SweepRunnerTest, BuildsAtMostOneReplicaPerWorker)
+{
+    std::atomic<int> built{0};
+    SweepRunner runner(
+        host_, SweepOptions{4, 0,
+                            [&](const dram::DeviceConfig &cfg)
+                                -> std::unique_ptr<dram::Device> {
+                                built.fetch_add(1);
+                                return std::make_unique<dram::Chip>(cfg);
+                            }});
+    // At most min(jobs, shards) workers, each building its replica
+    // once; the replicas persist across sweeps.
+    (void)shardRunCounts(runner, 2);
+    EXPECT_GE(built.load(), 1);
+    EXPECT_LE(built.load(), 2);
+    (void)shardRunCounts(runner, 3);
+    EXPECT_LE(built.load(), 3);
+    for (int i = 0; i < 3; ++i)
+        (void)shardRunCounts(runner, 64);
+    EXPECT_LE(built.load(), 4);
+}
+
+TEST_F(SweepRunnerTest, RethrowsTheLowestIndexedFailureAfterEveryShardRan)
+{
+    SweepRunner runner(host_, SweepOptions{4, 0});
+    std::atomic<int> completed{0};
+    try {
+        runner.forEachShard(16, [&](ShardContext &ctx) {
+            if (ctx.shard == 3) {
+                // Fail last in wall-clock order: the rethrown failure
+                // must still be this one.
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                throw std::runtime_error("boom-3");
+            }
+            if (ctx.shard == 10)
+                throw std::runtime_error("boom-10");
+            completed.fetch_add(1);
+        });
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "boom-3");
+    }
+    EXPECT_EQ(completed.load(), 14);
+}
+
+TEST_F(SweepRunnerTest, RunsEveryShardAgainAfterASweepInWhichAllThrew)
+{
+    SweepRunner runner(host_, SweepOptions{4, 0});
+    std::atomic<int> attempted{0};
+    EXPECT_THROW(runner.forEachShard(100,
+                                     [&](ShardContext &) {
+                                         attempted.fetch_add(1);
+                                         throw std::runtime_error("flood");
+                                     }),
+                 std::runtime_error);
+    EXPECT_EQ(attempted.load(), 100);
+    EXPECT_EQ(shardRunCounts(runner, 100), std::vector<int>(100, 1));
 }
 
 // ---------------------------------------------------------------------
