@@ -1,9 +1,8 @@
 /**
  * @file
- * Speedup guard for the analytical fast-forward engine: the paper's
+ * Speedup guard for the batched fast-forward engine: the paper's
  * 300K-activation hammer train through FastPathMode::Off (step-wise
- * reference), Exact (batched bit-identical replay) and Analytic
- * (aggregate-dose sampling).
+ * reference) and Exact (batched bit-identical replay).
  *
  * Unlike the google-benchmark microbenches this is a pass/fail tool:
  * it exits non-zero when BM_FastForward (Exact) is not at least 10x
@@ -58,15 +57,11 @@ main()
         hammerSeconds(dram::FastPathMode::Off, count, reps);
     const double exact =
         hammerSeconds(dram::FastPathMode::Exact, count, reps);
-    const double analytic =
-        hammerSeconds(dram::FastPathMode::Analytic, count, reps);
 
     Table table({"engine", "seconds/train", "speedup"});
     table.addRow({"BM_Stepwise (off)", Table::num(stepwise), "1.00"});
     table.addRow({"BM_FastForward (exact)", Table::num(exact),
                   Table::num(stepwise / exact)});
-    table.addRow({"BM_FastForward (analytic)", Table::num(analytic),
-                  Table::num(stepwise / analytic)});
     table.print();
     benchutil::maybeWriteCsv(table, "fastforward_speedup");
 

@@ -130,10 +130,7 @@ Host::execCertifiedLoop(const lint::LoopCertificate &cert, uint64_t count,
     train.periodPs = cert.periodPs;
     const double start_ns = nowNsF();
     try {
-        if (fastpath_mode_ == dram::FastPathMode::Analytic)
-            dev_.actManyAnalytic(train);
-        else
-            dev_.actMany(train);
+        dev_.actMany(train);
     } catch (const dram::FaultError &e) {
         // Rewind to the faulting command's issue slot: step-wise
         // execution would have stopped there with the clock not yet

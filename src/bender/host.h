@@ -51,19 +51,15 @@ class Host
     /** Current host clock (ns, truncated from picoseconds). */
     dram::NanoTime now() const { return dram::NanoTime(now_ps_ / 1000); }
 
-    /** Advances the clock without issuing commands. */
-    void waitNs(double ns) { now_ps_ += psFromNs(ns); }
-
     /** Advances the clock by milliseconds (retention tests). */
     void waitMs(double ms) { now_ps_ += int64_t(std::llround(ms * 1.0e9)); }
 
     /**
      * Executes a program.  Loops that bender::lint certifies as
      * constant-duration hammer kernels (lint::certifyHammerLoop) run
-     * through the device's bulk fast path — bit-exact batched replay
-     * (FastPathMode::Exact, the default) or analytic aggregate-dose
-     * sampling (Analytic); FastPathMode::Off and all uncertified
-     * loops execute slot by slot.  The mode comes from the
+     * through the device's bit-exact batched replay, Device::actMany
+     * (FastPathMode::Exact, the default); FastPathMode::Off and all
+     * uncertified loops execute slot by slot.  The mode comes from the
      * DRAMSCOPE_FASTPATH environment variable at construction and
      * can be overridden with setFastPathMode().
      *

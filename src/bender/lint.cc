@@ -88,13 +88,14 @@ Mode
 modeFromEnv()
 {
     const char *env = std::getenv("DRAMSCOPE_LINT");
-    if (env == nullptr)
+    if (env == nullptr || *env == '\0' || std::strcmp(env, "off") == 0)
         return Mode::Off;
     if (std::strcmp(env, "warn") == 0)
         return Mode::Warn;
     if (std::strcmp(env, "error") == 0)
         return Mode::Error;
-    return Mode::Off;
+    fatal(std::string("DRAMSCOPE_LINT='") + env +
+          "' is not a lint mode (off|warn|error)");
 }
 
 namespace {

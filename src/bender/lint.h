@@ -303,8 +303,10 @@ enum class Mode : uint8_t
 };
 
 /**
- * Reads DRAMSCOPE_LINT from the environment: "warn" / "error"
- * select the pre-flight mode, anything else (or unset) is Off.
+ * Reads DRAMSCOPE_LINT from the environment: "off" / "warn" / "error"
+ * select the pre-flight mode, and unset or empty is Off.  Any other
+ * value is a fatal() user error, so a misspelt mode cannot silently
+ * disable the gate.
  */
 Mode modeFromEnv();
 

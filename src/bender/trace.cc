@@ -206,7 +206,6 @@ JsonlWriter::onCommand(const TraceRecord &rec)
     if (!file_)
         return;
     if (std::fprintf(file_, "%s\n", toJsonl(rec).c_str()) < 0) {
-        ++write_errors_;
         noteError();
         return;
     }

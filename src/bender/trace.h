@@ -111,11 +111,10 @@ class CommandTracer : public TraceSink
  * Streaming JSONL sink: one line per command, no retention limit.
  *
  * Write and flush errors are detected (a full disk must not silently
- * truncate an hours-long trace): the first failure latches failed(),
- * is counted in writeErrors(), and is reported once via warn().  The
- * destructor flushes, so a trace that outlives its writer without an
- * explicit flush() still reaches the file — or reports that it
- * could not.
+ * truncate an hours-long trace): the first failure latches failed()
+ * and is reported once via warn().  The destructor flushes, so a
+ * trace that outlives its writer without an explicit flush() still
+ * reaches the file — or reports that it could not.
  */
 class JsonlWriter : public TraceSink
 {
@@ -137,9 +136,6 @@ class JsonlWriter : public TraceSink
     /** True once any write or flush has failed. */
     bool failed() const { return failed_; }
 
-    /** Records that could not be written (stream errors). */
-    uint64_t writeErrors() const { return write_errors_; }
-
     /**
      * Flushes buffered records to the file.  Returns false (and
      * latches failed()) when the stream reports an error — e.g. a
@@ -156,7 +152,6 @@ class JsonlWriter : public TraceSink
     std::string path_;
     std::FILE *file_;
     uint64_t written_ = 0;
-    uint64_t write_errors_ = 0;
     bool failed_ = false;
     bool error_reported_ = false;
 };

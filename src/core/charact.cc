@@ -327,25 +327,6 @@ Characterization::hcntForGroup(bender::Host &host,
 }
 
 double
-Characterization::medianHcnt(const BitVec &victim_bits,
-                             const BitVec &aggr_bits)
-{
-    const auto positions = latticePositions();
-    const uint32_t groups = std::min<uint32_t>(opts_.victimRows, 24);
-    // One binary search per group, sharded; the median is taken over
-    // the shard-ordered results.
-    std::vector<double> hcnts = sweep_.map<double>(
-        groups, [&](ShardContext &ctx) {
-            const dram::RowAddr victim_phys =
-                opts_.baseRow + 4 * ctx.shard + 1;
-            return double(hcntForGroup(ctx.host, victim_phys, true,
-                                       victim_bits, aggr_bits,
-                                       positions));
-        });
-    return median(std::move(hcnts));
-}
-
-double
 Characterization::relativeHcnt(bool vic0_one, bool dist1_opposite,
                                bool dist2_opposite)
 {

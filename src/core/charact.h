@@ -173,9 +173,6 @@ class Characterization
     unsigned sweepJobs() const { return sweep_.jobs(); }
 
   private:
-    /** Median Hcnt over victim rows for one pattern pair. */
-    double medianHcnt(const BitVec &victim_bits, const BitVec &aggr_bits);
-
     /** First-flip search on one group (binary search on count). */
     uint64_t hcntForGroup(bender::Host &host, dram::RowAddr victim_phys,
                           bool upper, const BitVec &victim_bits,

@@ -21,8 +21,6 @@ namespace {
 constexpr uint64_t kSaltHammer = 0x68616d6dULL;
 constexpr uint64_t kSaltPress = 0x70726573ULL;
 constexpr uint64_t kSaltRetention = 0x72657465ULL;
-constexpr uint64_t kSaltAnalyticHammer = 0x616e6168ULL;
-constexpr uint64_t kSaltAnalyticPress = 0x616e6170ULL;
 
 uint64_t
 cellKey(BankId bank, RowAddr row, BitlineIdx bl, uint64_t salt)
@@ -89,23 +87,6 @@ Bank::retentionNs(RowAddr row, BitlineIdx bl) const
     return hashLognormal(cfg_.variationSeed,
                          cellKey(id_, row, bl, kSaltRetention), mu,
                          rp.sigmaLog);
-}
-
-bool
-Bank::sampleFlip(RowAddr row, BitlineIdx bl, double dose, uint64_t salt,
-                 uint64_t epoch) const
-{
-    const auto &dp = cfg_.disturb;
-    if (dose < dp.thresholdMin)
-        return false;  // p = 0: no threshold in the population is met.
-    const double p =
-        std::min(1.0, (dose - dp.thresholdMin) /
-                          (dp.thresholdMax - dp.thresholdMin));
-    const double u = hashUniform(
-        cfg_.variationSeed, hashCombine(cellKey(id_, row, bl, salt), epoch));
-    // The exact rule flips iff u_cell <= p, u_cell in (0, 1]; the
-    // sampled draw uses the same comparison on a fresh stream.
-    return u <= p;
 }
 
 double
@@ -176,18 +157,13 @@ Bank::patternFactor(const BitVec &vic, const BitVec *aggr, BitlineIdx bl,
 }
 
 void
-Bank::commitDisturb(RowAddr row, RowState &rs, bool analytic)
+Bank::commitDisturb(RowAddr row, RowState &rs)
 {
     const auto &dp = cfg_.disturb;
     const double pend_h = rs.pendHammer[0] + rs.pendHammer[1];
     const double pend_p = rs.pendPressNs[0] + rs.pendPressNs[1];
     if (pend_h == 0.0 && pend_p == 0.0)
         return;
-
-    // Small analytic commits replay the exact threshold comparison:
-    // sampling only pays off (and only loses bit-exactness) once the
-    // dose aggregates enough activations.
-    const bool sample = analytic && pend_h >= kAnalyticSampleMinActs;
 
     // Upper bound of the total per-cell rate factor, for the cheap
     // early-out when the dose cannot reach the smallest threshold.
@@ -261,20 +237,14 @@ Bank::commitDisturb(RowAddr row, RowState &rs, bool analytic)
             dose_p += rs.pendPressNs[dir] * dp.pressBase * p_gate_f * pat;
         }
         const bool flip_h =
-            sample ? sampleFlip(row, bl, dose_h, kSaltAnalyticHammer,
-                                rs.analyticEpoch)
-                   : dose_h >= threshold(row, bl, AibMechanism::RowHammer);
+            dose_h >= threshold(row, bl, AibMechanism::RowHammer);
         const bool flip_p =
-            sample ? sampleFlip(row, bl, dose_p, kSaltAnalyticPress,
-                                rs.analyticEpoch)
-                   : dose_p >= threshold(row, bl, AibMechanism::RowPress);
+            dose_p >= threshold(row, bl, AibMechanism::RowPress);
         if (flip_h || flip_p) {
             rs.charge.flip(bl);
             ++stats_.disturbFlips;
         }
     }
-    if (sample)
-        ++rs.analyticEpoch;
     rs.pendHammer[0] = rs.pendHammer[1] = 0.0;
     rs.pendPressNs[0] = rs.pendPressNs[1] = 0.0;
 }
@@ -340,24 +310,6 @@ Bank::registerAggressorDwell(RowAddr aggressor, double act_count,
         const double press_ns =
             std::max(0.0, open_ns - cfg_.disturb.pressOnsetNs);
         vs.pendPressNs[pend_idx] += act_count * press_ns;
-    }
-}
-
-void
-Bank::applyAggregateDose(RowAddr aggressor, double act_count,
-                         double open_ns, NanoTime now)
-{
-    registerAggressorDwell(aggressor, act_count, open_ns, now);
-    // The data feeding the dose (victim and aggressor charge) cannot
-    // change between the train and the next barrier — barriers sit
-    // exactly where data changes — so committing here evaluates the
-    // same dose the deferred barrier would have.  Retention is not
-    // committed: its clock keeps running to the next barrier.
-    for (int dir = 0; dir < 2; ++dir) {
-        const auto victim = map_.neighbor(aggressor, dir == 1);
-        if (!victim)
-            continue;
-        commitDisturb(*victim, rowState(*victim, now), /*analytic=*/true);
     }
 }
 

@@ -53,13 +53,6 @@ struct RowState
      * skipped to keep per-command barriers cheap.
      */
     NanoTime lastRetentionScanNs = 0;
-
-    /**
-     * Analytic-commit counter: part of the sampling hash key, so
-     * successive sampled aggregate-dose commits of the same row draw
-     * independent (but run-to-run reproducible) values.
-     */
-    uint64_t analyticEpoch = 0;
 };
 
 /** Counters exposed for tests and the power side-channel analysis. */
@@ -79,14 +72,6 @@ struct BankStats
 class Bank
 {
   public:
-    /**
-     * Pending hammer-pair count at or above which an analytic commit
-     * samples flips instead of replaying the exact per-cell
-     * threshold comparison.  Below the floor the analytic path is
-     * bit-identical to the step-wise engine by construction.
-     */
-    static constexpr double kAnalyticSampleMinActs = 4096.0;
-
     /**
      * @param cfg Device configuration (borrowed; must outlive Bank).
      * @param map Subarray map (borrowed, shared across banks).
@@ -118,20 +103,6 @@ class Bank
      */
     void registerAggressorDwell(RowAddr aggressor, double act_count,
                                 double open_ns, NanoTime now);
-
-    /**
-     * Analytic fast-forward: registers @p act_count dwells of
-     * @p aggressor (like registerAggressorDwell) and immediately
-     * commits the disturbance of both victims.  Small pending doses
-     * replay the exact per-cell threshold comparison (bit-identical
-     * to the step-wise engine); doses at or above the sampling floor
-     * draw each cell's flip as a Bernoulli trial of its closed-form
-     * flip probability, on an independent hash stream keyed by the
-     * row's analytic epoch.  Retention is untouched — it still
-     * commits at the usual barriers.
-     */
-    void applyAggregateDose(RowAddr aggressor, double act_count,
-                            double open_ns, NanoTime now);
 
     /**
      * Refreshes the restore timestamp of an already-committed row
@@ -204,13 +175,8 @@ class Bank
     /** Commits retention flips of @p rs (idempotent discharge). */
     void commitRetention(RowAddr row, RowState &rs, NanoTime now);
 
-    /**
-     * Commits disturbance flips of @p rs and clears pending.  With
-     * @p analytic set, large doses flip cells by sampling the
-     * closed-form flip probability instead of replaying the exact
-     * threshold comparison (see applyAggregateDose).
-     */
-    void commitDisturb(RowAddr row, RowState &rs, bool analytic = false);
+    /** Commits disturbance flips of @p rs and clears pending. */
+    void commitDisturb(RowAddr row, RowState &rs);
 
     /** Per-cell disturbance dose factors common to both mechanisms. */
     double patternFactor(const BitVec &vic, const BitVec *aggr,
@@ -219,15 +185,6 @@ class Bank
     /** Uniform per-cell flip threshold for a mechanism. */
     double threshold(RowAddr row, BitlineIdx bl,
                      AibMechanism mech) const;
-
-    /**
-     * One Bernoulli trial of the closed-form flip probability
-     * p = clamp((dose - thresholdMin) / (thresholdMax -
-     * thresholdMin), 0, 1) — the exact flip rule marginalized over
-     * the uniform threshold population (analytic sampling).
-     */
-    bool sampleFlip(RowAddr row, BitlineIdx bl, double dose,
-                    uint64_t salt, uint64_t epoch) const;
 
     /** Per-cell retention time in ns at the configured temperature. */
     double retentionNs(RowAddr row, BitlineIdx bl) const;

@@ -225,7 +225,7 @@ Chip::replayTrain(const ActTrain &t)
 }
 
 void
-Chip::runTrain(const ActTrain &t, bool analytic)
+Chip::actMany(const ActTrain &t)
 {
     if (t.count == 0)
         return;
@@ -280,18 +280,10 @@ Chip::runTrain(const ActTrain &t, bool analytic)
     // Victims materialize at the first PRE (where the step-wise
     // engine first registers a dwell); pendings are integer sums, so
     // one batched addition is exact.
-    if (analytic) {
-        bk.applyAggregateDose(phys, double(t.count), dwell_ns, first_pre);
-        if (partner)
-            bk.applyAggregateDose(*partner, double(t.count), dwell_ns,
+    bk.registerAggressorDwell(phys, double(t.count), dwell_ns, first_pre);
+    if (partner)
+        bk.registerAggressorDwell(*partner, double(t.count), dwell_ns,
                                   first_pre);
-    } else {
-        bk.registerAggressorDwell(phys, double(t.count), dwell_ns,
-                                  first_pre);
-        if (partner)
-            bk.registerAggressorDwell(*partner, double(t.count), dwell_ns,
-                                      first_pre);
-    }
     if (t.count > 1) {
         // Mid-train restores of the aggressor commit nothing (no
         // pending lands on a single-row train's own aggressor and the
@@ -323,24 +315,6 @@ Chip::runTrain(const ActTrain &t, bool analytic)
     if (partner)
         per_act += wordlineCost(*partner);
     stats_.wordlinesDriven += per_act * t.count;
-}
-
-void
-Chip::actMany(const ActTrain &t)
-{
-    runTrain(t, /*analytic=*/false);
-}
-
-void
-Chip::actManyAnalytic(const ActTrain &t)
-{
-    runTrain(t, /*analytic=*/true);
-}
-
-bool
-Chip::isOpen(BankId b) const
-{
-    return fsm_.at(b).state == BankState::Open;
 }
 
 RowAddr

@@ -88,22 +88,12 @@ class Chip final : public Device
     void actMany(const ActTrain &train) override;
 
     /**
-     * Bulk hammering fast path, analytic: same FSM/violation/stats
-     * replay, but the disturbance dose commits immediately through
-     * Bank::applyAggregateDose (sampled for large trains).
-     */
-    void actManyAnalytic(const ActTrain &train) override;
-
-    /**
      * In-DRAM RFM/DRFM primitive: restores the AIB neighbours of
      * @p logical_row — translated through the internal remap — and,
      * when the chip couples rows, of its coupled partner too.
      */
     uint32_t refreshAggressorNeighbors(BankId b, RowAddr logical_row,
                                        NanoTime now) override;
-
-    /** True when bank @p b has an open row. */
-    bool isOpen(BankId b) const;
 
     /** Open physical row of bank @p b (panics when closed). */
     RowAddr openPhysicalRow(BankId b) const;
@@ -168,9 +158,6 @@ class Chip final : public Device
 
     /** Per-iteration act()/pre() replay (exact fallback). */
     void replayTrain(const ActTrain &train);
-
-    /** Shared exact/analytic batched train implementation. */
-    void runTrain(const ActTrain &train, bool analytic);
 
     DeviceConfig cfg_;
     std::unique_ptr<SubarrayMap> map_;

@@ -8,6 +8,8 @@
 
 #include <cstdlib>
 
+#include "util/log.h"
+
 namespace dramscope {
 namespace dram {
 
@@ -41,9 +43,15 @@ FastPathMode
 fastPathModeFromEnv()
 {
     const char *env = std::getenv("DRAMSCOPE_FASTPATH");
-    if (!env)
+    if (!env || !*env)
         return FastPathMode::Exact;
-    return fastPathModeFromString(env).value_or(FastPathMode::Exact);
+    if (const auto mode = fastPathModeFromString(env))
+        return *mode;
+#define X(Enumerator, keyword, summary) "|" keyword
+    static constexpr char kKeywords[] = DRAMSCOPE_FASTPATH_MODES(X);
+#undef X
+    fatal(std::string("DRAMSCOPE_FASTPATH='") + env +
+          "' is not a fast-path mode (" + (kKeywords + 1) + ")");
 }
 
 } // namespace dram

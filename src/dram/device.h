@@ -44,9 +44,7 @@ struct TimingViolation
     X(Off, "off",                                                       \
       "hammer loops execute slot by slot (step-wise reference engine)") \
     X(Exact, "exact",                                                   \
-      "certified loops batch into one train, bit-identical to off")     \
-    X(Analytic, "analytic",                                             \
-      "large trains commit one sampled aggregate dose per victim")
+      "certified loops batch into one train, bit-identical to off")
 
 /** How bender::Host executes certified constant-duration loops. */
 enum class FastPathMode : uint8_t
@@ -56,7 +54,7 @@ enum class FastPathMode : uint8_t
 #undef X
 };
 
-/** The spec keyword of a mode ("off", "exact", "analytic"). */
+/** The spec keyword of a mode ("off", "exact"). */
 const char *toString(FastPathMode mode);
 
 /** Parses a mode keyword; nullopt on an unknown string. */
@@ -64,9 +62,10 @@ std::optional<FastPathMode> fastPathModeFromString(const std::string &s);
 
 /**
  * Mode selected by the DRAMSCOPE_FASTPATH environment variable, read
- * by bender::Host at construction.  Unset or unrecognized values
- * select Exact: the batched train is proven bit-identical to the
- * step-wise engine (tests/test_fastforward.cc), so it is the default.
+ * by bender::Host at construction.  Unset or empty selects Exact: the
+ * batched train is proven bit-identical to the step-wise engine
+ * (tests/test_fastforward.cc), so it is the default.  Any other value
+ * that is not a mode keyword is a fatal() user error.
  */
 FastPathMode fastPathModeFromEnv();
 
@@ -151,15 +150,10 @@ class Device
     virtual void actMany(const ActTrain &train) = 0;
 
     /**
-     * Bulk hammering fast path, analytic: like actMany() but the
-     * accumulated disturbance dose of the train commits immediately
-     * through Bank::applyAggregateDose — exact per-cell threshold
-     * replay for small trains, Bernoulli sampling of the per-cell
-     * flip probability for large ones.  Statistically equivalent to
-     * the step-wise engine (see tests/test_fastforward.cc), and
-     * deterministic for a fixed seed.
+     * Same as actMany().  It remains only because
+     * perfbench/timed_device.h still overrides it; delete both together.
      */
-    virtual void actManyAnalytic(const ActTrain &train) = 0;
+    virtual void actManyAnalytic(const ActTrain &train) { actMany(train); }
 
     /** Total timing violations recorded so far (never truncated). */
     virtual uint64_t violationCount() const = 0;

@@ -330,7 +330,7 @@ FaultyDevice::refresh(NanoTime now)
 }
 
 void
-FaultyDevice::actManyFaulted(const ActTrain &train, bool analytic)
+FaultyDevice::actMany(const ActTrain &train)
 {
     if (dead_)
         throw DeviceDeadError("device is dead (die:cmd=" +
@@ -362,10 +362,7 @@ FaultyDevice::actManyFaulted(const ActTrain &train, bool analytic)
     if (fault_at == total) {
         stream_commands_ += total;
         lifetime_commands_ += total;
-        if (analytic)
-            inner_->actManyAnalytic(train);
-        else
-            inner_->actMany(train);
+        inner_->actMany(train);
         return;
     }
 
@@ -376,10 +373,7 @@ FaultyDevice::actManyFaulted(const ActTrain &train, bool analytic)
     if (pairs > 0) {
         ActTrain head = train;
         head.count = pairs;
-        if (analytic)
-            inner_->actManyAnalytic(head);
-        else
-            inner_->actMany(head);
+        inner_->actMany(head);
     }
     if (fault_at % 2 == 1) {
         inner_->act(train.bank, train.row, train.actNs(pairs));
@@ -407,18 +401,6 @@ FaultyDevice::actManyFaulted(const ActTrain &train, bool analytic)
     TransientFaultError err("command dropped (injected)");
     err.trainCommandsDone = fault_at;
     throw err;
-}
-
-void
-FaultyDevice::actMany(const ActTrain &train)
-{
-    actManyFaulted(train, /*analytic=*/false);
-}
-
-void
-FaultyDevice::actManyAnalytic(const ActTrain &train)
-{
-    actManyFaulted(train, /*analytic=*/true);
 }
 
 uint64_t

@@ -177,8 +177,18 @@ class FaultyDevice final : public Device
     void write(BankId b, ColAddr col, uint64_t data,
                NanoTime now) override;
     void refresh(NanoTime now) override;
+
+    /**
+     * Bulk-train forwarding with exact per-command fault replay: the
+     * train's 2 * count commands draw the same death/drop decisions
+     * at the same stream indices as 2 * count step-wise commands.  A
+     * fault-free train forwards whole; a fault mid-train forwards
+     * the fault-free prefix (complete pairs via the bulk path, plus
+     * the lone ACT when the fault lands on a PRE), then throws with
+     * trainCommandsDone set.
+     */
     void actMany(const ActTrain &train) override;
-    void actManyAnalytic(const ActTrain &train) override;
+
     uint64_t violationCount() const override;
     std::vector<TimingViolation> violationLog() const override;
     uint32_t refreshAggressorNeighbors(BankId b, RowAddr row,
@@ -224,17 +234,6 @@ class FaultyDevice final : public Device
      * @return The stream index assigned to this command.
      */
     uint64_t onCommand();
-
-    /**
-     * Bulk-train forwarding with exact per-command fault replay: the
-     * train's 2 * count commands draw the same death/drop decisions
-     * at the same stream indices as 2 * count step-wise commands.  A
-     * fault-free train forwards whole; a fault mid-train forwards
-     * the fault-free prefix (complete pairs via the bulk path, plus
-     * the lone ACT when the fault lands on a PRE), then throws with
-     * trainCommandsDone set.
-     */
-    void actManyFaulted(const ActTrain &train, bool analytic);
 
     /** Applies flip + stuck-at faults to one RD_data burst. */
     uint64_t corruptRead(BankId b, ColAddr col, uint64_t data,

@@ -122,16 +122,6 @@ Dimm::actMany(const dram::ActTrain &train)
     }
 }
 
-void
-Dimm::actManyAnalytic(const dram::ActTrain &train)
-{
-    dram::ActTrain chip_train = train;
-    for (uint32_t c = 0; c < chipCount(); ++c) {
-        chip_train.row = chipRow(c, train.row);
-        chips_[c]->actManyAnalytic(chip_train);
-    }
-}
-
 uint64_t
 Dimm::violationCount() const
 {

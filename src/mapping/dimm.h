@@ -86,9 +86,6 @@ class Dimm final : public dram::Device
      *  with its side's row address. */
     void actMany(const dram::ActTrain &train) override;
 
-    /** Broadcast analytic bulk hammer. */
-    void actManyAnalytic(const dram::ActTrain &train) override;
-
     /** Sum of per-chip timing violations. */
     uint64_t violationCount() const override;
 

@@ -494,9 +494,13 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
                     const size_t r = b.q[k];
                     if (where[r].row != b.openRow)
                         continue;
-                    hit_any = std::min(hit_any, r);
+                    // The queue is in arrival order, so its first hit
+                    // is the oldest one, and no later hit has arrived
+                    // if this one has not.
+                    hit_any = r;
                     if (arrival(r) <= clock)
-                        hit_arrived = std::min(hit_arrived, r);
+                        hit_arrived = r;
+                    break;
                 }
                 const bool cap_hit = opt.policy == RowPolicy::HitCap &&
                                      b.hitsSinceAct >= opt.maxRowHits;

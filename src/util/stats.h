@@ -7,60 +7,12 @@
 #define DRAMSCOPE_UTIL_STATS_H
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "util/log.h"
 
 namespace dramscope {
-
-/** Streaming mean / variance / min / max accumulator (Welford). */
-class RunningStat
-{
-  public:
-    /** Adds one sample. */
-    void
-    add(double x)
-    {
-        ++n_;
-        const double delta = x - mean_;
-        mean_ += delta / double(n_);
-        m2_ += delta * (x - mean_);
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-
-    /** Number of samples so far. */
-    uint64_t count() const { return n_; }
-
-    /** Sample mean (0 when empty). */
-    double mean() const { return n_ ? mean_ : 0.0; }
-
-    /** Population variance (0 when fewer than 2 samples). */
-    double
-    variance() const
-    {
-        return n_ > 1 ? m2_ / double(n_) : 0.0;
-    }
-
-    /** Population standard deviation. */
-    double stddev() const { return std::sqrt(variance()); }
-
-    /** Smallest sample (+inf when empty). */
-    double min() const { return min_; }
-
-    /** Largest sample (-inf when empty). */
-    double max() const { return max_; }
-
-  private:
-    uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /** Ratio of two counters; the core metric behind every BER figure. */
 class BitErrorRate

@@ -501,20 +501,23 @@ runRefreshDifferential(uint64_t seed, int ops)
 
     // Rows 0..127: the edge subarray and two subarray boundaries.
     auto row = [&] { return RowAddr(rng.below(128)); };
-    auto dwell = [&](bool aggregate) {
+    // With `commit` set, both banks commit each victim right after
+    // the dwell.
+    auto dwell = [&](bool commit) {
         const RowAddr aggr = row();
         const bool press = rng.chance(0.3);
         const double acts = double(rng.range(1, press ? 20000 : 200000));
         const double open_ns = press ? rng.uniform(1000.0, 10000.0) : 36.0;
-        for (dram::Bank *bk : {&a, &b}) {
-            if (aggregate)
-                bk->applyAggregateDose(aggr, acts, open_ns, now);
-            else
-                bk->registerAggressorDwell(aggr, acts, open_ns, now);
-        }
+        for (dram::Bank *bk : {&a, &b})
+            bk->registerAggressorDwell(aggr, acts, open_ns, now);
         for (const bool up : {false, true}) {
-            if (const auto v = map.neighbor(aggr, up))
+            if (const auto v = map.neighbor(aggr, up)) {
                 touched.insert(*v);
+                if (commit) {
+                    a.commitRow(*v, now);
+                    b.commitRow(*v, now);
+                }
+            }
         }
     };
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <numeric>
 
 #include "bender/host.h"
@@ -208,6 +209,28 @@ TEST(EdgeCases, LogLevelsGate)
     warn("this must not crash while silenced");
     inform("neither must this");
     Log::setLevel(before);
+}
+
+TEST(EdgeCases, MisspeltFastPathEnvIsFatal)
+{
+    // The death statement runs in a child process, so the variable
+    // never leaks into the rest of the suite.
+    EXPECT_DEATH(
+        {
+            setenv("DRAMSCOPE_FASTPATH", "analytic", 1);
+            dram::fastPathModeFromEnv();
+        },
+        "DRAMSCOPE_FASTPATH='analytic'.*off\\|exact");
+}
+
+TEST(EdgeCases, MisspeltLintEnvIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            setenv("DRAMSCOPE_LINT", "errror", 1);
+            bender::lint::modeFromEnv();
+        },
+        "DRAMSCOPE_LINT='errror'");
 }
 
 TEST(EdgeCases, HostRowCopySelfIsHarmless)

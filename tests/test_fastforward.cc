@@ -1,36 +1,21 @@
 /**
  * @file
- * Proof harness for the analytical fast-forward engine.
- *
- * Two claims are on trial:
- *
- *  1. FastPathMode::Exact is *bit-identical* to the step-wise
- *     reference engine (FastPathMode::Off) — same victim bits, same
- *     violation log, same clock, same command count — on every
- *     backend (Chip, Dimm, HBM channel), for every lint-certifiable
- *     kernel shape.  Proven differentially with the property-based
- *     fuzzer of test_common.h (failures log the draw seed).
- *
- *  2. FastPathMode::Analytic is bit-identical below the sampling
- *     floor (Bank::kAnalyticSampleMinActs) and *statistically*
- *     equivalent above it: the sampled flip field is an independent
- *     draw of the same per-cell Bernoulli probabilities the exact
- *     threshold rule realizes.  Proven with total-count, chi-square
- *     and Kolmogorov-Smirnov tests whose tolerances are derived next
- *     to each assertion.
+ * Proof harness for the batched fast-forward engine:
+ * FastPathMode::Exact is *bit-identical* to the step-wise reference
+ * engine (FastPathMode::Off) — same victim bits, same violation log,
+ * same clock, same command count — on every backend (Chip, Dimm, HBM
+ * channel), for every lint-certifiable kernel shape.  Proven
+ * differentially with the property-based fuzzer of test_common.h
+ * (failures log the draw seed).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "bender/host.h"
-#include "dram/bank.h"
 #include "dram/chip.h"
 #include "dram/hbm_stack.h"
 #include "mapping/dimm.h"
@@ -40,10 +25,6 @@ namespace dramscope {
 namespace {
 
 using dram::FastPathMode;
-
-// ---------------------------------------------------------------------
-// Differential fuzzing: Exact (and small-N Analytic) vs Off.
-// ---------------------------------------------------------------------
 
 /** Everything two engine modes must agree on after one kernel. */
 struct RunSnapshot
@@ -114,11 +95,11 @@ expectSnapshotsEqual(const RunSnapshot &got, const RunSnapshot &want,
 
 void
 fuzzBackend(const DeviceMaker &make, const dram::DeviceConfig &cfg,
-            uint64_t seeds, FastPathMode fast_mode)
+            uint64_t seeds)
 {
     for (uint64_t seed = 1; seed <= seeds; ++seed) {
         const auto f = testutil::drawFuzzHammer(cfg, seed);
-        const auto fast = runFuzzKernel(make, cfg, f, fast_mode);
+        const auto fast = runFuzzKernel(make, cfg, f, FastPathMode::Exact);
         const auto slow = runFuzzKernel(make, cfg, f, FastPathMode::Off);
         expectSnapshotsEqual(fast, slow, f);
     }
@@ -134,7 +115,7 @@ chipMaker()
 
 TEST(FastForwardFuzz, ChipExactMatchesStepwise)
 {
-    fuzzBackend(chipMaker(), testutil::tinyPlain(), 40, FastPathMode::Exact);
+    fuzzBackend(chipMaker(), testutil::tinyPlain(), 40);
 }
 
 TEST(FastForwardFuzz, ChipWithRemapAndCouplingExactMatchesStepwise)
@@ -142,8 +123,7 @@ TEST(FastForwardFuzz, ChipWithRemapAndCouplingExactMatchesStepwise)
     // The unmodified tiny config keeps row remap and the coupled-row
     // pair: the batched path must restore and dose the partner
     // wordline exactly as per-ACT execution does.
-    fuzzBackend(chipMaker(), dram::makeTinyConfig(), 25,
-                FastPathMode::Exact);
+    fuzzBackend(chipMaker(), dram::makeTinyConfig(), 25);
 }
 
 TEST(FastForwardFuzz, DimmExactMatchesStepwise)
@@ -152,7 +132,7 @@ TEST(FastForwardFuzz, DimmExactMatchesStepwise)
         [](const dram::DeviceConfig &cfg) -> std::unique_ptr<dram::Device> {
         return std::make_unique<mapping::Dimm>(cfg);
     };
-    fuzzBackend(make, testutil::tinyPlain(), 10, FastPathMode::Exact);
+    fuzzBackend(make, testutil::tinyPlain(), 10);
 }
 
 TEST(FastForwardFuzz, HbmChannelExactMatchesStepwise)
@@ -164,179 +144,7 @@ TEST(FastForwardFuzz, HbmChannelExactMatchesStepwise)
         dram::HbmStack stack(cfg, 4);
         return std::make_unique<dram::Chip>(stack.channel(2).config());
     };
-    fuzzBackend(make, testutil::tinyPlain(), 10, FastPathMode::Exact);
-}
-
-TEST(FastForwardFuzz, AnalyticBelowSamplingFloorMatchesStepwise)
-{
-    // Every fuzz draw is far below Bank::kAnalyticSampleMinActs, so
-    // the analytic engine must take its exact-replay branch and stay
-    // bit-identical to step-wise execution.
-    fuzzBackend(chipMaker(), testutil::tinyPlain(), 25,
-                FastPathMode::Analytic);
-}
-
-// ---------------------------------------------------------------------
-// Statistical equivalence of large-N analytic sampling.
-// ---------------------------------------------------------------------
-
-/**
- * Hammers @p aggressors disjoint aggressor rows (spacing 4, so no two
- * hammered neighbourhoods share a victim) for @p count activations
- * each and returns the per-victim-row flip counts, in a fixed row
- * order.  Victims hold all-ones; a flip is a dropped bit.
- */
-std::vector<uint32_t>
-flipsPerVictimRow(FastPathMode mode, uint32_t aggressors, uint64_t count,
-                  double open_ns)
-{
-    const auto cfg = testutil::tinyPlain();
-    dram::Chip chip(cfg);
-    bender::Host host(chip);
-    host.setFastPathMode(mode);
-    std::vector<dram::RowAddr> victims;
-    for (uint32_t a = 0; a < aggressors; ++a) {
-        const dram::RowAddr aggr = 10 + 4 * a;
-        host.writeRowPattern(0, aggr - 1, ~0ULL);
-        host.writeRowPattern(0, aggr, 0);
-        host.writeRowPattern(0, aggr + 1, ~0ULL);
-        victims.push_back(aggr - 1);
-        victims.push_back(aggr + 1);
-    }
-    for (uint32_t a = 0; a < aggressors; ++a)
-        host.hammer(0, 10 + 4 * a, count, open_ns);
-    std::vector<uint32_t> flips;
-    for (const auto v : victims) {
-        const BitVec bits = host.readRowBits(0, v);
-        flips.push_back(uint32_t(bits.size() - bits.popcount()));
-    }
-    return flips;
-}
-
-TEST(FastForwardStats, AnalyticLargeHammerMatchesExactDistribution)
-{
-    // 100K activations: dose 1e5 on the susceptible gate parity, so
-    // p = (1e5 - 8e3) / (2e6 - 8e3) ~= 0.046 on ~128 of 256 cells per
-    // victim row, and p = 0 on the off-gate parity (6% leak stays
-    // under thresholdMin).  Expected flips ~5.9 per row over 120
-    // rows.  The exact flip field realizes u_cell <= p on the frozen
-    // per-cell variation; the sampled field draws a fresh u on an
-    // independent salt — two independent samples of one Poisson-
-    // binomial, which is what every bound below assumes.
-    const uint32_t kAggressors = 60;
-    const uint64_t kCount = 100000;  // >= Bank::kAnalyticSampleMinActs.
-    ASSERT_GE(double(kCount), dram::Bank::kAnalyticSampleMinActs);
-    const auto exact =
-        flipsPerVictimRow(FastPathMode::Exact, kAggressors, kCount, 35.0);
-    const auto analytic =
-        flipsPerVictimRow(FastPathMode::Analytic, kAggressors, kCount, 35.0);
-    ASSERT_EQ(exact.size(), analytic.size());
-    const size_t rows = exact.size();
-
-    // Sampling must actually have engaged: two independent draws of
-    // ~120 Binomial(128, 0.046) rows collide everywhere with
-    // probability well under 1e-40.
-    EXPECT_NE(exact, analytic);
-
-    // (a) Total flips.  Var(A - E) = 2 * sum npq ~= 2 * total, so a
-    // 6-sigma band is 6 * sqrt(2 * total); the +10 floor keeps the
-    // test meaningful if a parameter change collapses the totals.
-    const double total_e = std::accumulate(exact.begin(), exact.end(), 0.0);
-    const double total_a =
-        std::accumulate(analytic.begin(), analytic.end(), 0.0);
-    EXPECT_GT(total_e, 100.0);  // The regime the tolerances assume.
-    EXPECT_LE(std::abs(total_a - total_e),
-              6.0 * std::sqrt(2.0 * std::max(total_e, 1.0)) + 10.0);
-
-    // (b) Per-row chi-square.  Under the null each term
-    // (A_r - E_r)^2 / (A_r + E_r) is ~chi^2_1; the sum over df
-    // contributing rows has mean df and variance ~2 df, so df +
-    // 5 * sqrt(2 df) is a >5-sigma ceiling.
-    double chi2 = 0.0;
-    double df = 0.0;
-    for (size_t r = 0; r < rows; ++r) {
-        const double s = double(exact[r]) + double(analytic[r]);
-        if (s == 0.0)
-            continue;
-        const double d = double(exact[r]) - double(analytic[r]);
-        chi2 += d * d / s;
-        df += 1.0;
-    }
-    EXPECT_GT(df, 50.0);
-    EXPECT_LE(chi2, df + 5.0 * std::sqrt(2.0 * df));
-
-    // (c) Two-sample Kolmogorov-Smirnov on per-row flip counts.  The
-    // alpha = 0.001 critical coefficient is 1.95; 2.5 adds margin for
-    // the discreteness of small counts (ties only ever lower D, so
-    // this stays conservative).
-    std::vector<uint32_t> se = exact, sa = analytic;
-    std::sort(se.begin(), se.end());
-    std::sort(sa.begin(), sa.end());
-    double dmax = 0.0;
-    size_t i = 0, j = 0;
-    while (i < se.size() && j < sa.size()) {
-        if (se[i] <= sa[j])
-            ++i;
-        else
-            ++j;
-        dmax = std::max(dmax, std::abs(double(i) / double(se.size()) -
-                                       double(j) / double(sa.size())));
-    }
-    const double n = double(se.size());
-    EXPECT_LE(dmax, 2.5 * std::sqrt(2.0 / n));
-}
-
-TEST(FastForwardStats, AnalyticLargePressMatchesExactTotals)
-{
-    // RowPress at the paper's 8192 x 7.8us: pend press dose
-    // 8192 * 7800 * 5e-3 ~= 3.2e5 on charged victims' passing-gate
-    // parity, p ~= 0.157.  Same 6-sigma total-count band as above.
-    const auto exact =
-        flipsPerVictimRow(FastPathMode::Exact, 24, 8192, 7800.0);
-    const auto analytic =
-        flipsPerVictimRow(FastPathMode::Analytic, 24, 8192, 7800.0);
-    const double total_e = std::accumulate(exact.begin(), exact.end(), 0.0);
-    const double total_a =
-        std::accumulate(analytic.begin(), analytic.end(), 0.0);
-    EXPECT_GT(total_e, 100.0);
-    EXPECT_NE(exact, analytic);
-    EXPECT_LE(std::abs(total_a - total_e),
-              6.0 * std::sqrt(2.0 * std::max(total_e, 1.0)) + 10.0);
-}
-
-TEST(FastForwardStats, AnalyticSamplingIsDeterministicRunToRun)
-{
-    // The sampled draw is a pure function of (variation seed, cell,
-    // epoch): identical runs must produce byte-identical flip fields,
-    // or parallel-sweep bit-reproducibility dies in analytic mode.
-    const auto a = flipsPerVictimRow(FastPathMode::Analytic, 20, 100000, 35.0);
-    const auto b = flipsPerVictimRow(FastPathMode::Analytic, 20, 100000, 35.0);
-    EXPECT_EQ(a, b);
-}
-
-TEST(FastForwardStats, AnalyticEpochDecorrelatesSuccessiveTrains)
-{
-    // Two back-to-back trains on one aggressor commit two sampled
-    // doses.  Each commit *toggles* the cells it selects, so if the
-    // epoch counter failed and the second draw replayed the first,
-    // every flip would toggle back and the victim would read pristine.
-    const auto cfg = testutil::tinyPlain();
-    const auto run = [&cfg](int trains) {
-        dram::Chip chip(cfg);
-        bender::Host host(chip);
-        host.setFastPathMode(FastPathMode::Analytic);
-        host.writeRowPattern(0, 99, ~0ULL);
-        host.writeRowPattern(0, 100, 0);
-        host.writeRowPattern(0, 101, ~0ULL);
-        for (int t = 0; t < trains; ++t)
-            host.hammer(0, 100, 100000);
-        return host.readRowBits(0, 101);
-    };
-    const BitVec once = run(1);
-    const BitVec twice = run(2);
-    EXPECT_LT(once.popcount(), once.size());      // Train 1 flipped cells.
-    EXPECT_LT(twice.popcount(), twice.size());    // ...that stayed flipped.
-    EXPECT_FALSE(once == twice);                  // Train 2 drew fresh u's.
+    fuzzBackend(make, testutil::tinyPlain(), 10);
 }
 
 } // namespace

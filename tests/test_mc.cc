@@ -361,6 +361,26 @@ TEST(McScheduler, PolicyOrderingMatchesIntuition)
     EXPECT_LT(chase.stats.rowHitRate(), 0.2);
 }
 
+TEST(McScheduler, ServesTheOldestArrivedHitFirstOnAnUnsortedTrace)
+{
+    // A replayed trace may list requests out of arrival order.  Three
+    // reads hit bank 0, row 5; the youngest has the lowest index.
+    const auto cfg = dram::makePreset("A_x8_2018");
+    const AddrDecoder dec(cfg);
+    const std::vector<Request> reqs = {
+        {dec.encode(0, 5, 2), ReqType::Read, 5000},
+        {dec.encode(0, 5, 1), ReqType::Read, 4000},
+        {dec.encode(0, 5, 0), ReqType::Read, 0},
+    };
+    const auto res = mc::schedule(reqs, cfg, {});
+    std::vector<dram::ColAddr> cols;
+    for (const auto &ins : res.program.instrs()) {
+        if (ins.op == bender::Opcode::Rd)
+            cols.push_back(ins.col);
+    }
+    EXPECT_EQ(cols, (std::vector<dram::ColAddr>{0, 1, 2}));
+}
+
 // ---------------------------------------------------------------------
 // Lint certification: scheduled streams are in-spec by construction,
 // on every device backend, and execute without device violations.

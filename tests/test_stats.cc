@@ -10,26 +10,6 @@
 namespace dramscope {
 namespace {
 
-TEST(RunningStat, Basic)
-{
-    RunningStat s;
-    for (double x : {1.0, 2.0, 3.0, 4.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.variance(), 1.25);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
-
-TEST(RunningStat, Empty)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
 TEST(BitErrorRate, Accumulates)
 {
     BitErrorRate ber;

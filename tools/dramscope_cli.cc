@@ -112,7 +112,7 @@ struct Flags
                              //!< command trace to write).
     std::string device;      //!< --device=chip|dimm|hbm[:N].
     std::string faults;      //!< --faults=SPEC (fault injection).
-    std::string fastpath;    //!< --fastpath=off|exact|analytic.
+    std::string fastpath;    //!< --fastpath=off|exact.
     std::string checkpoint;  //!< --checkpoint=FILE (shard journal).
     std::string workload;    //!< --workload=streaming|chase|zipfian.
     std::string policy;      //!< --policy=open|closed|timeout|cap.
@@ -287,7 +287,7 @@ applyFastPath(bender::Host &host, const Flags &flags)
     if (!mode) {
         std::fprintf(stderr,
                      "error: unknown --fastpath '%s' "
-                     "(off|exact|analytic)\n",
+                     "(off|exact)\n",
                      flags.fastpath.c_str());
         std::exit(2);
     }
@@ -326,7 +326,7 @@ usage()
         "sweep/mcsweep: chip|dimm)\n"
         "  --faults=SPEC                      fault injection (see "
         "docs/RESILIENCE.md)\n"
-        "  --fastpath=off|exact|analytic      loop engine (default "
+        "  --fastpath=off|exact               loop engine (default "
         "from DRAMSCOPE_FASTPATH, else exact)\n"
         "sweep/mcsweep accept --jobs=N --seed=S --retries=K "
         "--timeout-ms=T --checkpoint=FILE --resume\n"
