@@ -5,9 +5,6 @@
 
 #include "bender/trace.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "util/log.h"
 
 namespace dramscope {
@@ -36,69 +33,6 @@ toJsonl(const TraceRecord &rec)
                   rec.ns, toString(rec.cmd), unsigned(rec.bank),
                   unsigned(rec.row), unsigned(rec.col));
     return buf;
-}
-
-namespace {
-
-/** Scans `"key":` and leaves @p p after the colon; false if absent. */
-bool
-expectKey(const char *&p, const char *key)
-{
-    const char *found = std::strstr(p, key);
-    if (!found)
-        return false;
-    p = found + std::strlen(key);
-    return true;
-}
-
-} // namespace
-
-bool
-parseJsonl(const std::string &line, TraceRecord &out)
-{
-    // The format is machine-generated and fixed-order (see toJsonl),
-    // so a keyed scan is sufficient — no general JSON parser needed.
-    const char *p = line.c_str();
-    char *end = nullptr;
-
-    if (!expectKey(p, "\"ns\":"))
-        return false;
-    out.ns = std::strtod(p, &end);
-    if (end == p)
-        return false;
-
-    if (!expectKey(p, "\"cmd\":\""))
-        return false;
-    bool matched = false;
-    for (const auto cmd : {TraceCmd::Act, TraceCmd::Pre, TraceCmd::Rd,
-                           TraceCmd::Wr, TraceCmd::Ref}) {
-        const char *name = toString(cmd);
-        const size_t len = std::strlen(name);
-        if (std::strncmp(p, name, len) == 0 && p[len] == '"') {
-            out.cmd = cmd;
-            matched = true;
-            break;
-        }
-    }
-    if (!matched)
-        return false;
-
-    if (!expectKey(p, "\"bank\":"))
-        return false;
-    out.bank = dram::BankId(std::strtoul(p, &end, 10));
-    if (end == p)
-        return false;
-
-    if (!expectKey(p, "\"row\":"))
-        return false;
-    out.row = dram::RowAddr(std::strtoul(p, &end, 10));
-    if (end == p)
-        return false;
-
-    if (!expectKey(p, "\"col\":"))
-        return false;
-    out.col = dram::ColAddr(std::strtoul(p, &end, 10));
-    return end != p;
 }
 
 CommandTracer::CommandTracer(size_t capacity)
@@ -141,23 +75,6 @@ CommandTracer::clear()
     ring_.clear();
     head_ = 0;
     recorded_ = 0;
-}
-
-void
-CommandTracer::writeJsonl(std::FILE *f) const
-{
-    for (const auto &rec : records())
-        std::fprintf(f, "%s\n", toJsonl(rec).c_str());
-}
-
-bool
-CommandTracer::writeJsonl(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    writeJsonl(f);
-    return std::fclose(f) == 0;
 }
 
 JsonlWriter::JsonlWriter(const std::string &path)

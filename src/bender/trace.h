@@ -8,8 +8,8 @@
  * Two sinks ship with the library:
  *
  *  - CommandTracer: a bounded ring buffer keeping the most recent
- *    records, exportable as JSONL.  Tests also use it to assert on
- *    exact command streams.
+ *    records in memory.  Tests use it to assert on exact command
+ *    streams.
  *  - JsonlWriter: streams records straight to a file, one JSON object
  *    per line, with no retention limit (the CLI `--trace=FILE` path).
  *
@@ -53,13 +53,6 @@ struct TraceRecord
 /** Serializes one record as a single JSON line (no trailing \n). */
 std::string toJsonl(const TraceRecord &rec);
 
-/**
- * Parses a line produced by toJsonl() back into a record.  Returns
- * false on malformed input (the JSONL round-trip test's negative
- * cases).
- */
-bool parseJsonl(const std::string &line, TraceRecord &out);
-
 /** Receiver of traced commands. */
 class TraceSink
 {
@@ -93,12 +86,6 @@ class CommandTracer : public TraceSink
 
     /** Forgets every record (capacity unchanged). */
     void clear();
-
-    /** Writes the retained records as JSONL to @p f. */
-    void writeJsonl(std::FILE *f) const;
-
-    /** Writes the retained records to @p path; false on I/O error. */
-    bool writeJsonl(const std::string &path) const;
 
   private:
     std::vector<TraceRecord> ring_;

@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <map>
@@ -34,6 +33,7 @@
 
 #include "dram/chip.h"
 #include "dram/faulty_device.h"
+#include "util/jsonl.h"
 #include "util/log.h"
 
 namespace dramscope {
@@ -94,95 +94,6 @@ RetryPolicy::delayMsBefore(uint32_t next_attempt) const
 
 namespace {
 
-/** Escapes a payload for embedding in one JSON string literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (const unsigned char c : s) {
-        switch (c) {
-          case '\\': out += "\\\\"; break;
-          case '"':  out += "\\\""; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += char(c);
-            }
-        }
-    }
-    return out;
-}
-
-/**
- * Reads an escaped JSON string starting after the opening quote at
- * @p p; on success leaves @p p past the closing quote.
- */
-bool
-jsonUnescape(const char *&p, std::string &out)
-{
-    out.clear();
-    while (*p != '\0' && *p != '"') {
-        if (*p != '\\') {
-            out += *p++;
-            continue;
-        }
-        ++p;
-        switch (*p) {
-          case '\\': out += '\\'; ++p; break;
-          case '"':  out += '"'; ++p; break;
-          case 'n':  out += '\n'; ++p; break;
-          case 'r':  out += '\r'; ++p; break;
-          case 't':  out += '\t'; ++p; break;
-          case 'u': {
-            ++p;
-            char hex[5] = {};
-            for (int i = 0; i < 4; ++i) {
-                if (!std::isxdigit(static_cast<unsigned char>(p[i])))
-                    return false;
-                hex[i] = p[i];
-            }
-            out += char(std::strtoul(hex, nullptr, 16));
-            p += 4;
-            break;
-          }
-          default: return false;
-        }
-    }
-    if (*p != '"')
-        return false;
-    ++p;
-    return true;
-}
-
-/** Scans `key` and leaves @p p just past it; false when absent. */
-bool
-expectKey(const char *&p, const char *key)
-{
-    const char *found = std::strstr(p, key);
-    if (!found)
-        return false;
-    p = found + std::strlen(key);
-    return true;
-}
-
-bool
-scanU64(const char *&p, uint64_t &out)
-{
-    char *end = nullptr;
-    out = std::strtoull(p, &end, 10);
-    if (end == p)
-        return false;
-    p = end;
-    return true;
-}
-
 std::string
 formatHash(uint64_t hash)
 {
@@ -191,13 +102,6 @@ formatHash(uint64_t hash)
                   static_cast<unsigned long long>(hash));
     return buf;
 }
-
-/** One journaled shard result recovered during resume. */
-struct JournaledShard
-{
-    uint32_t attempts = 0;
-    std::string payload;
-};
 
 /** Mixes a byte string into a running hash. */
 uint64_t
@@ -242,10 +146,12 @@ class ShardJournal
      * @p shards) and reopens it for appending.  A missing file
      * starts fresh.  @throws ResumeError on any incompatibility.
      */
-    std::map<uint32_t, JournaledShard>
+    std::map<uint32_t, std::string>
     openResume(const std::string &path, uint64_t hash, uint32_t shards)
     {
-        std::map<uint32_t, JournaledShard> out;
+        static constexpr std::string_view kHeader[] = {"header"};
+        static constexpr std::string_view kShard[] = {"shard"};
+        std::map<uint32_t, std::string> out;
         std::ifstream in(path);
         if (!in.is_open()) {
             openFresh(path, hash, shards);
@@ -254,23 +160,24 @@ class ShardJournal
 
         // A line counts only with its newline: a kill mid-append
         // leaves a torn tail, which is never parsed and is cut below.
-        std::string line;
+        std::string line, kind;
         bool have_header = false;
         std::streamoff kept = 0;  // End of the last accepted line.
-        while (std::getline(in, line) && !in.eof()) {
-            const char *p = line.c_str();
+        for (size_t line_no = 1; std::getline(in, line) && !in.eof();
+             ++line_no) {
             if (!have_header) {
-                if (line.empty())
-                    break;  // Torn header write: treat as fresh.
                 std::string file_hash;
                 uint64_t file_shards = 0;
-                if (!expectKey(p, "\"kind\":\"header\"") ||
-                    !expectKey(p, "\"hash\":\"") ||
-                    !jsonUnescape(p, file_hash) ||
-                    !expectKey(p, "\"shards\":") ||
-                    !scanU64(p, file_shards)) {
-                    throw ResumeError("checkpoint " + path +
-                                      ": unreadable journal header");
+                try {
+                    jsonl::read(line,
+                                {{.key = "kind", .str = &kind,
+                                  .oneOf = kHeader},
+                                 {.key = "hash", .str = &file_hash},
+                                 {.key = "shards", .num = &file_shards}},
+                                path, line_no);
+                } catch (const jsonl::ParseError &e) {
+                    throw ResumeError("unreadable journal header: " +
+                                      std::string(e.what()));
                 }
                 if (file_hash != formatHash(hash) ||
                     file_shards != shards) {
@@ -283,14 +190,19 @@ class ShardJournal
                 kept = in.tellg();
                 continue;
             }
+            // A record's attempts are checked but not kept: a resumed
+            // shard reports zero attempts.
             uint64_t shard = 0, attempts = 0;
-            JournaledShard rec;
-            if (!expectKey(p, "\"kind\":\"shard\"") ||
-                !expectKey(p, "\"shard\":") || !scanU64(p, shard) ||
-                !expectKey(p, "\"attempts\":") ||
-                !scanU64(p, attempts) ||
-                !expectKey(p, "\"payload\":\"") ||
-                !jsonUnescape(p, rec.payload)) {
+            std::string payload;
+            try {
+                jsonl::read(line,
+                            {{.key = "kind", .str = &kind, .oneOf = kShard},
+                             {.key = "shard", .num = &shard},
+                             {.key = "attempts", .num = &attempts,
+                              .max = UINT32_MAX},
+                             {.key = "payload", .str = &payload}},
+                            path, line_no);
+            } catch (const jsonl::ParseError &) {
                 // An unreadable record ends the journal: it and
                 // everything after it are cut below.
                 break;
@@ -298,14 +210,12 @@ class ShardJournal
             if (shard >= shards)
                 throw ResumeError("checkpoint " + path +
                                   ": shard index out of range");
-            rec.attempts = uint32_t(attempts);
-            out[uint32_t(shard)] = std::move(rec);
+            out[uint32_t(shard)] = std::move(payload);
             kept = in.tellg();
         }
         in.close();
 
         if (!have_header) {
-            out.clear();
             openFresh(path, hash, shards);
             return out;
         }
@@ -326,7 +236,7 @@ class ShardJournal
         writeLine("{\"kind\":\"shard\",\"shard\":" +
                   std::to_string(shard) + ",\"attempts\":" +
                   std::to_string(attempts) + ",\"payload\":\"" +
-                  jsonEscape(payload) + "\"}");
+                  jsonl::escape(payload) + "\"}");
     }
 
   private:
@@ -552,12 +462,12 @@ SweepRunner::runResilient(uint32_t shards, const ResilientUnit &unit,
         const uint64_t hash = configHash(shards, opts.tag);
         journal = std::make_unique<ShardJournal>();
         if (opts.resume) {
-            for (auto &[s, rec] :
+            for (auto &[s, payload] :
                  journal->openResume(opts.checkpointPath, hash, shards)) {
                 ShardRecord &slot = report.shards[s];
                 slot.status = ShardStatus::Resumed;
                 slot.attempts = 0;
-                slot.payload = std::move(rec.payload);
+                slot.payload = std::move(payload);
             }
         } else {
             journal->openFresh(opts.checkpointPath, hash, shards);

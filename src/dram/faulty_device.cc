@@ -5,9 +5,11 @@
 
 #include "dram/faulty_device.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/rng.h"
 
@@ -30,17 +32,14 @@ parseFail(std::string *error, const std::string &msg)
 }
 
 /**
- * Parses an unsigned decimal at @p p; true on success with @p p
- * advanced past the digits.
+ * Parses an unsigned decimal no larger than @p max at @p p; true on
+ * success with @p p advanced past the digits.
  */
 bool
-parseU64(const char *&p, uint64_t &out)
+parseU64(const char *&p, uint64_t &out, uint64_t max = UINT64_MAX)
 {
-    char *end = nullptr;
-    if (*p == '-')
-        return false;
-    out = std::strtoull(p, &end, 10);
-    if (end == p)
+    const auto [end, ec] = std::from_chars(p, p + std::strlen(p), out);
+    if (ec != std::errc() || out > max)
         return false;
     p = end;
     return true;
@@ -119,12 +118,11 @@ FaultSpec::parse(const std::string &spec, std::string *error)
             p += 6;
             StuckCell cell;
             uint64_t bank = 0, row = 0, col = 0, bit = 0, value = 0;
-            if (!parseU64(p, bank) || *p++ != '.' ||
-                !parseU64(p, row) || *p++ != '.' ||
-                !parseU64(p, col) || *p++ != '.' ||
-                !parseU64(p, bit) || *p++ != '=' ||
-                !parseU64(p, value) || *p != '\0' ||
-                bank > 0xFFFF || bit >= 64 || value > 1) {
+            if (!parseU64(p, bank, 0xFFFF) || *p++ != '.' ||
+                !parseU64(p, row, UINT32_MAX) || *p++ != '.' ||
+                !parseU64(p, col, UINT32_MAX) || *p++ != '.' ||
+                !parseU64(p, bit, 63) || *p++ != '=' ||
+                !parseU64(p, value, 1) || *p != '\0') {
                 return parseFail(error,
                                  "bad stuck clause '" + clause +
                                      "' (stuck@B.R.C.BIT=V)");

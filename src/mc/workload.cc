@@ -5,13 +5,11 @@
 
 #include "mc/workload.h"
 
-#include <cctype>
-#include <charconv>
 #include <cmath>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "util/jsonl.h"
 #include "util/rng.h"
 
 namespace dramscope {
@@ -149,134 +147,30 @@ writeTrace(const std::string &path, const std::vector<Request> &reqs)
                                  "' failed");
 }
 
-namespace {
-
-/** Minimal parser for the one-object-per-line trace schema. */
-struct LineParser
-{
-    const std::string &s;
-    size_t i = 0;
-    size_t lineNo;
-
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        std::ostringstream os;
-        os << "trace:" << lineNo << ": " << what;
-        throw std::runtime_error(os.str());
-    }
-
-    void
-    ws()
-    {
-        while (i < s.size() && std::isspace(uint8_t(s[i])))
-            ++i;
-    }
-
-    void
-    expect(char c)
-    {
-        ws();
-        if (i >= s.size() || s[i] != c)
-            fail(std::string("expected '") + c + "'");
-        ++i;
-    }
-
-    std::string
-    string()
-    {
-        expect('"');
-        const size_t start = i;
-        while (i < s.size() && s[i] != '"')
-            ++i;
-        if (i >= s.size())
-            fail("unterminated string");
-        return s.substr(start, i++ - start);
-    }
-
-    uint64_t
-    number()
-    {
-        ws();
-        uint64_t v = 0;
-        const auto [end, ec] =
-            std::from_chars(s.data() + i, s.data() + s.size(), v);
-        if (ec == std::errc::invalid_argument)
-            fail("expected a number");
-        if (ec == std::errc::result_out_of_range)
-            fail("number out of range");
-        i = size_t(end - s.data());
-        return v;
-    }
-
-    bool
-    atEnd()
-    {
-        ws();
-        return i >= s.size();
-    }
-};
-
-} // namespace
-
 std::vector<Request>
 readTrace(const std::string &path)
 {
+    static constexpr std::string_view kTypes[] = {"rd", "wr"};
     std::ifstream in(path);
     if (!in)
         throw std::runtime_error("trace: cannot open '" + path + "'");
     std::vector<Request> reqs;
-    std::string line;
+    std::string line, type;
     size_t lineNo = 0;
     while (std::getline(in, line)) {
         ++lineNo;
-        LineParser p{line, 0, lineNo};
-        if (p.atEnd())
+        if (line.find_first_not_of(" \t\r") == std::string::npos)
             continue;  // Blank lines are fine.
-        p.i = 0;
-        p.expect('{');
         Request r;
-        bool haveArrival = false, haveAddr = false, haveType = false;
-        for (;;) {
-            const std::string key = p.string();
-            p.expect(':');
-            bool *have = key == "arrival_ps" ? &haveArrival
-                         : key == "addr"     ? &haveAddr
-                         : key == "type"     ? &haveType
-                                             : nullptr;
-            if (!have)
-                p.fail("unknown key '" + key + "'");
-            if (*have)
-                p.fail("duplicate key '" + key + "'");
-            *have = true;
-            if (key == "arrival_ps") {
-                const uint64_t v = p.number();
-                if (v > uint64_t(INT64_MAX))
-                    p.fail("arrival_ps out of range");
-                r.arrivalPs = int64_t(v);
-            } else if (key == "addr") {
-                r.addr = p.number();
-            } else {
-                const std::string v = p.string();
-                if (v == "rd")
-                    r.type = ReqType::Read;
-                else if (v == "wr")
-                    r.type = ReqType::Write;
-                else
-                    p.fail("type must be \"rd\" or \"wr\"");
-            }
-            p.ws();
-            if (p.i < line.size() && line[p.i] == ',') {
-                ++p.i;
-                continue;
-            }
-            break;
-        }
-        p.expect('}');
-        if (!p.atEnd())
-            p.fail("trailing characters after object");
-        if (!haveArrival || !haveAddr || !haveType)
-            p.fail("missing key (need arrival_ps, addr, type)");
+        uint64_t arrival = 0;
+        jsonl::read(line,
+                    {{.key = "arrival_ps", .num = &arrival,
+                      .max = uint64_t(INT64_MAX)},
+                     {.key = "addr", .num = &r.addr},
+                     {.key = "type", .str = &type, .oneOf = kTypes}},
+                    "trace", lineNo);
+        r.arrivalPs = int64_t(arrival);
+        r.type = type == "rd" ? ReqType::Read : ReqType::Write;
         reqs.push_back(r);
     }
     return reqs;

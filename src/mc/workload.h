@@ -78,9 +78,9 @@ std::vector<Request> makeWorkload(WorkloadKind kind,
 void writeTrace(const std::string &path, const std::vector<Request> &reqs);
 
 /**
- * Reads a JSONL trace written by writeTrace() (or by hand).  Unknown
- * keys are rejected; malformed lines throw std::runtime_error naming
- * the line number.  Blank lines are skipped.
+ * Reads a JSONL trace written by writeTrace() (or by hand) through
+ * jsonl::read(); a malformed line throws jsonl::ParseError, reading
+ * `trace:<line>:<col>: <reason>`.  Blank lines are skipped.
  */
 std::vector<Request> readTrace(const std::string &path);
 

@@ -4,12 +4,15 @@
  * streams of dram::FaultyDevice, and the failure-containment layer of
  * SweepRunner::runResilient — retry/quarantine, the watchdog, and the
  * JSONL shard journal (checkpoint/resume bit-identity, including a
- * kill-at-every-shard-boundary loop).
+ * kill-at-every-shard-boundary loop, and resume from every truncation
+ * and single-bit flip of a journal).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -83,7 +86,10 @@ TEST(FaultSpec, RejectsMalformedClauses)
     for (const char *bad :
          {"bogus:1", "flip:2.0", "flip:-0.1", "flip:x", "drop:1.5",
           "die:cmd=0", "die:cmd=-3", "stuck@1.2.3=1", "stuck@1.2.3.64=1",
-          "stuck@1.2.3.4=2", "seed:abc", "flip:1e-6,,drop:0.1"}) {
+          "stuck@1.2.3.4=2", "seed:abc", "flip:1e-6,,drop:0.1",
+          "stuck@0.4294967361.0.3=0", "stuck@0.1.4294967296.3=0",
+          "die:cmd=99999999999999999999999",
+          "seed:18446744073709551616"}) {
         std::string error;
         EXPECT_FALSE(FaultSpec::parse(bad, &error).has_value())
             << "accepted: " << bad;
@@ -667,6 +673,82 @@ TEST_F(ResilientSweepTest, SecondResumeAfterATornPayloadIsBitIdentical)
         const auto resumed = runner2.runResilient(kShards, berUnit, ropts);
         EXPECT_EQ(resumed.resumed, want_resumed);
         EXPECT_EQ(resumed.payloads(), full.payloads());
+    }
+}
+
+TEST_F(ResilientSweepTest, GluedRecordDoesNotResumeWithAnotherShardsPayload)
+{
+    constexpr uint32_t kShards = 4;
+    TempJournal journal;
+    ResilienceOptions opts;
+    opts.checkpointPath = journal.path();
+    opts.tag = "glued";
+
+    auto runner = makeRunner(1);
+    const auto full = runner.runResilient(kShards, berUnit, opts);
+    const auto lines = journal.lines();
+    ASSERT_EQ(lines.size(), 1u + kShards);
+
+    // A torn record with the next record glued onto it, as an append
+    // after an uncut torn tail leaves it.  The glued line carries
+    // shard 3's payload after "shard":2.
+    journal.writeLines({lines[0], lines[1], lines[2],
+                        "{\"kind\":\"shard\",\"shard\":2,\"att" + lines[4]});
+    ResilienceOptions ropts = opts;
+    ropts.resume = true;
+    dram::Chip chip2(cfg_);
+    bender::Host host2(chip2);
+    SweepRunner runner2(host2, SweepOptions(1, 0x5eedULL));
+    const auto resumed = runner2.runResilient(kShards, berUnit, ropts);
+    EXPECT_EQ(resumed.resumed, 2u);
+    EXPECT_EQ(resumed.payloads(), full.payloads());
+}
+
+TEST_F(ResilientSweepTest, ResumeSurvivesEveryTruncationAndBitFlip)
+{
+    constexpr uint32_t kShards = 3;
+    TempJournal journal;
+    ResilienceOptions opts;
+    opts.checkpointPath = journal.path();
+    opts.tag = "fuzz";
+    const auto unit = [](ShardContext &ctx) {
+        return "s\"" + std::to_string(ctx.shard) + "\n";
+    };
+    auto runner = makeRunner(1);
+    runner.runResilient(kShards, unit, opts);
+    std::ifstream in(journal.path(), std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+    ASSERT_EQ(journal.lines().size(), 1u + kShards);
+
+    // Every damaged journal is either refused twice, or resumes and
+    // leaves a journal from which every shard resumes.
+    ResilienceOptions ropts = opts;
+    ropts.resume = true;
+    const auto check = [&](const std::string &damaged) {
+        std::FILE *f = std::fopen(journal.path().c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(damaged.data(), 1, damaged.size(), f);
+        std::fclose(f);
+        try {
+            runner.runResilient(kShards, unit, ropts);
+        } catch (const ResumeError &) {
+            EXPECT_THROW(runner.runResilient(kShards, unit, ropts),
+                         ResumeError)
+                << damaged;
+            return;
+        }
+        EXPECT_EQ(runner.runResilient(kShards, unit, ropts).resumed,
+                  kShards)
+            << damaged;
+    };
+    for (size_t n = 0; n <= bytes.size(); ++n)
+        check(bytes.substr(0, n));
+    for (size_t i = 0; i < bytes.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string damaged = bytes;
+            damaged[i] = char(damaged[i] ^ (1 << bit));
+            check(damaged);
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Command tracing: JSONL round-trip, ring-buffer retention, and —
+ * Command tracing: the JSONL line format, ring-buffer retention, and —
  * most importantly — that the Host emits exactly one record per
  * issued command with issue-time stamps, and that the bulk hammer
  * fast path synthesizes the same stream a slot-by-slot execution
@@ -37,30 +37,22 @@ TEST(TraceJsonl, ToStringCoversAllKinds)
     EXPECT_STREQ(obs::toString(TraceCmd::Ref), "REF");
 }
 
-TEST(TraceJsonl, RoundTripsEveryCommandKind)
+TEST(TraceJsonl, WritesEveryCommandKindAsAnExactLine)
 {
     const TraceCmd kinds[] = {TraceCmd::Act, TraceCmd::Pre, TraceCmd::Rd,
                               TraceCmd::Wr, TraceCmd::Ref};
     for (const TraceCmd kind : kinds) {
-        // .625 and .250 are exact in binary AND survive the %.3f
-        // formatting, so equality round-trips.
         const TraceRecord rec{1234.625, kind, 3, 777, 42};
-        const std::string line = obs::toJsonl(rec);
-        TraceRecord back;
-        ASSERT_TRUE(obs::parseJsonl(line, back)) << line;
-        EXPECT_EQ(back, rec) << line;
+        EXPECT_EQ(obs::toJsonl(rec),
+                  std::string("{\"ns\":1234.625,\"cmd\":\"") +
+                      obs::toString(kind) +
+                      "\",\"bank\":3,\"row\":777,\"col\":42}");
     }
-}
-
-TEST(TraceJsonl, RejectsMalformedLines)
-{
-    TraceRecord out;
-    EXPECT_FALSE(obs::parseJsonl("", out));
-    EXPECT_FALSE(obs::parseJsonl("not json at all", out));
-    EXPECT_FALSE(obs::parseJsonl(R"({"ns":1.0,"bank":0,"row":0,"col":0})",
-                                 out));  // No cmd.
-    EXPECT_FALSE(obs::parseJsonl(
-        R"({"ns":1.0,"cmd":"BOGUS","bank":0,"row":0,"col":0})", out));
+    // Always three decimals; the largest fields print in full.
+    EXPECT_EQ(obs::toJsonl({1.5, TraceCmd::Act, 65535, 4294967295u,
+                            4294967295u}),
+              R"({"ns":1.500,"cmd":"ACT","bank":65535,"row":4294967295,)"
+              R"("col":4294967295})");
 }
 
 TEST(CommandTracerTest, RingKeepsTheMostRecentRecords)
@@ -87,30 +79,6 @@ TEST(CommandTracerTest, ClearForgetsRecordsButNotCapacity)
     for (uint32_t i = 0; i < 6; ++i)
         tracer.onCommand({double(i), TraceCmd::Pre, 0, 0, 0});
     EXPECT_EQ(tracer.size(), 4u);
-}
-
-TEST(CommandTracerTest, WriteJsonlRoundTripsThroughAFile)
-{
-    CommandTracer tracer(16);
-    tracer.onCommand({1000.0, TraceCmd::Act, 1, 5, 0});
-    tracer.onCommand({1013.75, TraceCmd::Rd, 1, 0, 3});
-    tracer.onCommand({1046.25, TraceCmd::Pre, 1, 0, 0});
-
-    const std::string path =
-        testing::TempDir() + "dramscope_trace_roundtrip.jsonl";
-    ASSERT_TRUE(tracer.writeJsonl(path));
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::vector<TraceRecord> reloaded;
-    std::string line;
-    while (std::getline(in, line)) {
-        TraceRecord rec;
-        ASSERT_TRUE(obs::parseJsonl(line, rec)) << line;
-        reloaded.push_back(rec);
-    }
-    EXPECT_EQ(reloaded, tracer.records());
-    std::remove(path.c_str());
 }
 
 TEST(HostTraceTest, SlotPathEmitsOneRecordPerCommandWithIssueTimes)
@@ -283,15 +251,14 @@ TEST(JsonlWriterTest, WritesRecordsAndFlushesOnDestruction)
     }
     std::ifstream in(path);
     std::string line;
-    std::vector<TraceRecord> parsed;
-    while (std::getline(in, line)) {
-        TraceRecord rec;
-        ASSERT_TRUE(obs::parseJsonl(line, rec)) << line;
-        parsed.push_back(rec);
-    }
-    ASSERT_EQ(parsed.size(), 2u);
-    EXPECT_EQ(parsed[0].row, 7u);
-    EXPECT_EQ(parsed[1].cmd, TraceCmd::Rd);
+    std::vector<std::string> lines;
+    while (std::getline(in, line))
+        lines.push_back(line);
+    const std::vector<std::string> expected = {
+        obs::toJsonl({5.0, TraceCmd::Act, 0, 7, 0}),
+        obs::toJsonl({40.0, TraceCmd::Rd, 0, 7, 3}),
+    };
+    EXPECT_EQ(lines, expected);
     std::remove(path.c_str());
 }
 

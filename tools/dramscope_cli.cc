@@ -136,12 +136,14 @@ struct Flags
 };
 
 /**
- * Parses a strictly unsigned decimal argument; exits with a
- * diagnostic on anything else (a silent atoll(...)=0 would turn a
- * typo into a plausible-looking run).
+ * Parses a strictly unsigned decimal argument no larger than @p max
+ * (the range of its destination); exits with a diagnostic on anything
+ * else (a silent atoll(...)=0, or a value wrapped to 32 bits, would
+ * turn a typo into a plausible-looking run).
  */
 uint64_t
-parseU64OrExit(const std::string &arg, const char *what)
+parseU64OrExit(const std::string &arg, const char *what,
+               uint64_t max = UINT64_MAX)
 {
     char *end = nullptr;
     errno = 0;
@@ -152,7 +154,37 @@ parseU64OrExit(const std::string &arg, const char *what)
                      what, arg.c_str());
         std::exit(2);
     }
+    if (v > max) {
+        std::fprintf(stderr, "error: %s '%s' out of range (0..%llu)\n",
+                     what, arg.c_str(), (unsigned long long)max);
+        std::exit(2);
+    }
     return uint64_t(v);
+}
+
+/** parseU64OrExit() for a row address. */
+dram::RowAddr
+parseRowOrExit(const std::string &arg, const char *what)
+{
+    return dram::RowAddr(parseU64OrExit(arg, what, UINT32_MAX));
+}
+
+/**
+ * Exits with a usage error unless rows @p row - @p below through
+ * @p row + @p above, which a subcommand touches for its @p what
+ * argument, all lie inside a bank of @p cfg.
+ */
+void
+checkRowsOrExit(const dram::DeviceConfig &cfg, const char *what,
+                dram::RowAddr row, uint32_t below, uint32_t above)
+{
+    if (row < below || uint64_t(row) + above >= cfg.rowsPerBank) {
+        std::fprintf(stderr,
+                     "error: %s %u out of range for %s (%u..%u)\n", what,
+                     row, cfg.name.c_str(), below,
+                     cfg.rowsPerBank - 1 - above);
+        std::exit(2);
+    }
 }
 
 /**
@@ -249,8 +281,8 @@ makeDevice(const dram::DeviceConfig &cfg, const std::string &spec,
                              spec.c_str());
                 std::exit(2);
             }
-            channel =
-                uint32_t(parseU64OrExit(spec.substr(4), "HBM channel"));
+            channel = uint32_t(
+                parseU64OrExit(spec.substr(4), "HBM channel", UINT32_MAX));
         }
         d.hbm = std::make_unique<dram::HbmStack>(cfg);
         if (channel >= d.hbm->channelCount()) {
@@ -425,6 +457,7 @@ cmdAttack(const std::string &preset, dram::RowAddr aggr, uint64_t count,
           bool press, const Flags &flags)
 {
     const auto cfg = dram::makePreset(preset);
+    checkRowsOrExit(cfg, "row", aggr, 4, 4);
     auto dut = makeDevice(cfg, flags.device,
                           parseFaultsOrExit(flags.faults));
     bender::Host host(*dut.dev);
@@ -472,6 +505,8 @@ cmdRowCopy(const std::string &preset, dram::RowAddr src,
            dram::RowAddr dst, const Flags &flags)
 {
     const auto cfg = dram::makePreset(preset);
+    checkRowsOrExit(cfg, "src row", src, 0, 0);
+    checkRowsOrExit(cfg, "dst row", dst, 0, 0);
     auto dut = makeDevice(cfg, flags.device,
                           parseFaultsOrExit(flags.faults));
     bender::Host host(*dut.dev);
@@ -500,6 +535,7 @@ cmdStats(const std::string &preset, dram::RowAddr aggr, uint64_t count,
          const Flags &flags)
 {
     const auto cfg = dram::makePreset(preset);
+    checkRowsOrExit(cfg, "row", aggr, 0, 1);
     auto dut = makeDevice(cfg, flags.device,
                           parseFaultsOrExit(flags.faults));
     bender::Host host(*dut.dev);
@@ -1155,13 +1191,13 @@ main(int argc, char **argv)
         else if (arg == "--resume")
             flags.resume = true;
         else if (arg.rfind("--jobs=", 0) == 0)
-            flags.jobs =
-                unsigned(parseU64OrExit(arg.substr(7), "--jobs"));
+            flags.jobs = unsigned(
+                parseU64OrExit(arg.substr(7), "--jobs", UINT32_MAX));
         else if (arg.rfind("--seed=", 0) == 0)
             flags.seed = parseU64OrExit(arg.substr(7), "--seed");
         else if (arg.rfind("--retries=", 0) == 0)
-            flags.retries =
-                uint32_t(parseU64OrExit(arg.substr(10), "--retries"));
+            flags.retries = uint32_t(
+                parseU64OrExit(arg.substr(10), "--retries", UINT32_MAX));
         else if (arg.rfind("--timeout-ms=", 0) == 0)
             flags.timeoutMs =
                 parseU64OrExit(arg.substr(13), "--timeout-ms");
@@ -1222,25 +1258,22 @@ main(int argc, char **argv)
             return cmdCertify(preset, args.size() > 2 ? args[2] : "",
                               flags);
         if (cmd == "stats") {
-            const auto row =
-                args.size() > 2
-                    ? dram::RowAddr(parseU64OrExit(args[2], "row"))
-                    : dram::RowAddr(1000);
+            const auto row = args.size() > 2
+                                 ? parseRowOrExit(args[2], "row")
+                                 : dram::RowAddr(1000);
             const auto n = args.size() > 3
                                ? parseU64OrExit(args[3], "count")
                                : uint64_t(10000);
             return cmdStats(preset, row, n, flags);
         }
         if ((cmd == "hammer" || cmd == "press") && args.size() == 4) {
-            return cmdAttack(preset,
-                             dram::RowAddr(parseU64OrExit(args[2], "row")),
+            return cmdAttack(preset, parseRowOrExit(args[2], "row"),
                              parseU64OrExit(args[3], "count"),
                              cmd == "press", flags);
         }
         if (cmd == "rowcopy" && args.size() == 4) {
-            return cmdRowCopy(
-                preset, dram::RowAddr(parseU64OrExit(args[2], "src row")),
-                dram::RowAddr(parseU64OrExit(args[3], "dst row")), flags);
+            return cmdRowCopy(preset, parseRowOrExit(args[2], "src row"),
+                              parseRowOrExit(args[3], "dst row"), flags);
         }
         if (cmd == "sweep") {
             const auto shards = args.size() > 2
