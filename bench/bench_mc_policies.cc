@@ -2,9 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the memory-controller layer:
  * scheduling throughput per open-row policy (requests scheduled per
- * second) and the end-to-end schedule-plus-execute path.  The
- * scheduler's hit-window scan is the knob that keeps the per-decision
- * cost bounded; this file is where a regression in it shows up.
+ * second) and the end-to-end schedule-plus-execute path.  A decision
+ * costs O(banks): each bank caches the position of its first row hit,
+ * and its 64-entry hit window is scanned only after that bank's ACT or
+ * a served column command.  This file is where a regression in that
+ * bookkeeping shows up.
  */
 
 #include <benchmark/benchmark.h>

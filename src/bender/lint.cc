@@ -164,6 +164,13 @@ class Interp
         return int64_t(std::llround(ns * 1000.0));
     }
 
+    /** Symbolic ACT count of one (bank, row) in the current window. */
+    struct RowActs
+    {
+        uint64_t acts = 0;
+        size_t lastSlot = 0;  //!< Slot of the latest ACT.
+    };
+
     struct BankState
     {
         bool open = false;
@@ -196,8 +203,9 @@ class Interp
         if (cert_ == nullptr)
             return;
         const uint64_t key = rowKey(ins.bank, ins.row);
-        const uint64_t n = ++row_acts_[key];
-        row_act_slot_[key] = slot;
+        RowActs &row = row_acts_[key];
+        const uint64_t n = ++row.acts;
+        row.lastSlot = slot;
         if (n > max_row_acts_) {
             max_row_acts_ = n;
             max_key_ = key;
@@ -329,10 +337,8 @@ class Interp
         // per-row exposure counters start over (the running max is
         // the bound across windows).  Matches the scheduler's dynamic
         // mc.exposure accounting, which closes all windows at REF.
-        if (cert_ != nullptr) {
+        if (cert_ != nullptr)
             row_acts_.clear();
-            row_act_slot_.clear();
-        }
     }
 
     /**
@@ -354,7 +360,7 @@ class Interp
     fastForward(uint64_t skipped, int64_t iter_ps, uint64_t iter_cmds,
                 uint64_t iter_refs, int64_t loop_start_ps,
                 double iter_pj,
-                const std::map<uint64_t, uint64_t> &acts0)
+                const std::map<uint64_t, RowActs> &acts0)
     {
         const int64_t shift = int64_t(skipped) * iter_ps;
         const auto shifted = [&](int64_t ts) {
@@ -379,18 +385,18 @@ class Interp
         for (auto &ev : pwr_)
             ev.first = shifted(ev.first);
         if (iter_refs == 0) {
-            for (auto &kv : row_acts_) {
-                const auto it0 = acts0.find(kv.first);
+            for (auto &[key, row] : row_acts_) {
+                const auto it0 = acts0.find(key);
                 const uint64_t before =
-                    it0 == acts0.end() ? 0 : it0->second;
-                const uint64_t delta = kv.second - before;
+                    it0 == acts0.end() ? 0 : it0->second.acts;
+                const uint64_t delta = row.acts - before;
                 if (delta == 0)
                     continue;
-                kv.second += delta * skipped;
-                if (kv.second > max_row_acts_) {
-                    max_row_acts_ = kv.second;
-                    max_key_ = kv.first;
-                    max_slot_ = row_act_slot_[kv.first];
+                row.acts += delta * skipped;
+                if (row.acts > max_row_acts_) {
+                    max_row_acts_ = row.acts;
+                    max_key_ = key;
+                    max_slot_ = row.lastSlot;
                 }
             }
         } else {
@@ -472,7 +478,7 @@ class Interp
                 uint64_t iter_cmds = 0;
                 uint64_t iter_refs = 0;
                 double iter_pj = 0.0;
-                std::map<uint64_t, uint64_t> acts0;
+                std::map<uint64_t, RowActs> acts0;
                 for (uint64_t k = 0; k < sim; ++k) {
                     if (cert_ != nullptr && k + 1 == sim)
                         acts0 = row_acts_;
@@ -607,8 +613,7 @@ class Interp
     double background_mw_ = 0.0;
     /** Symbolic per-(bank, row) ACTs since the last REF (std::map:
      *  iterated when fast-forwarding, so the order must be stable). */
-    std::map<uint64_t, uint64_t> row_acts_;
-    std::map<uint64_t, size_t> row_act_slot_;  //!< Last ACT slot per key.
+    std::map<uint64_t, RowActs> row_acts_;
     uint64_t max_row_acts_ = 0;  //!< Running max across all windows.
     uint64_t max_key_ = 0;
     size_t max_slot_ = 0;

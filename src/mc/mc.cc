@@ -10,7 +10,8 @@
 #include <cstdio>
 #include <deque>
 #include <limits>
-#include <map>
+#include <stdexcept>
+#include <string>
 
 #include "util/log.h"
 #include "util/rng.h"
@@ -163,8 +164,8 @@ ceilNs(int64_t t)
 }
 
 /** How deep into a bank queue the scheduler looks for row hits: the
- *  reorder window of a real controller's scheduler CAM.  Bounds the
- *  per-decision cost regardless of queue depth. */
+ *  reorder window of a real controller's scheduler CAM.  Scanned
+ *  incrementally (BankSched::hitScan), so a decision costs O(banks). */
 constexpr size_t kHitWindow = 64;
 
 constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
@@ -207,6 +208,11 @@ struct BankSched
     std::deque<size_t> q;  //!< Request indices, arrival order.
     bool open = false;
     dram::RowAddr openRow = 0;
+    /** Entries q[0, hitScan) miss the open row, so q[hitScan] is the
+     *  window's first hit when hitScan is inside the window.  A demand
+     *  ACT resets it; serving that hit erases q[hitScan], the only
+     *  change to q, so the scan resumes where it stopped. */
+    size_t hitScan = 0;
     int64_t lastActPs = -1;
     int64_t lastPrePs = -1;
     int64_t lastUsePs = 0;        //!< Last ACT/RD/WR issue time.
@@ -228,6 +234,29 @@ ScheduleResult
 schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
          const SchedulerOptions &opt)
 {
+    // Inputs no schedule exists for: a zero hit cap closes every row
+    // before it serves a request, and times past the limits would
+    // overflow the int64 ps clock.
+    const auto reject = [](const std::string &why) {
+        throw std::invalid_argument("mc::schedule: " + why);
+    };
+    if (opt.policy == RowPolicy::HitCap && opt.maxRowHits == 0)
+        reject("maxRowHits must be at least 1 under the cap policy");
+    if (!(opt.maxRowIdleNs >= 0.0 &&
+          opt.maxRowIdleNs <= double(kMaxIntervalNs)))
+        reject("maxRowIdleNs must be in [0, " +
+               std::to_string(kMaxIntervalNs) + "]");
+    if (opt.refreshIntervalNs > kMaxIntervalNs)
+        reject("refreshIntervalNs must be at most " +
+               std::to_string(kMaxIntervalNs));
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        if (reqs[i].arrivalPs > kMaxArrivalPs)
+            reject("request " + std::to_string(i) + " arrives at " +
+                   std::to_string(reqs[i].arrivalPs) +
+                   " ps, after the limit of " +
+                   std::to_string(kMaxArrivalPs) + " ps");
+    }
+
     const AddrDecoder dec(cfg);
     const auto &tm = cfg.timing;
     const int64_t tck = ps(tm.tCkNs);
@@ -282,7 +311,8 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
     int64_t lastActAny = -1;
     std::deque<int64_t> faw;
     int64_t nextRef = trefi > 0 ? trefi : kNever;
-    std::map<uint64_t, uint64_t> windowActs;  //!< (bank,row) -> ACTs.
+    // One (bank << 32 | row) key per demand ACT of this refresh window.
+    std::vector<uint64_t> windowActs;
     size_t pending = reqs.size();
 
     const auto arrival = [&](size_t r) { return reqs[r].arrivalPs; };
@@ -326,14 +356,13 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
                 b.mitRows.push_back(r);
             b.extraPs += seq.extraPs;
             for (const auto nr : seq.neutralized) {
-                const auto it =
-                    windowActs.find(uint64_t(seq.bank) << 32 | nr);
-                if (it == windowActs.end())
+                const uint64_t acts =
+                    std::erase(windowActs, uint64_t(seq.bank) << 32 | nr);
+                if (acts == 0)
                     continue;
-                st.exposureSamples.push_back(it->second);
+                st.exposureSamples.push_back(acts);
                 st.maxRowActsPerRefWindow =
-                    std::max(st.maxRowActsPerRefWindow, it->second);
-                windowActs.erase(it);
+                    std::max(st.maxRowActsPerRefWindow, acts);
             }
         }
     };
@@ -368,9 +397,10 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
             return;
         }
         b.openRow = row;  // Hit detection stays on logical addresses.
+        b.hitScan = 0;
         ++st.acts;
         ++st.bankActs[bk];
-        ++windowActs[uint64_t(bk) << 32 | phys];
+        windowActs.push_back(uint64_t(bk) << 32 | phys);
         if (mit) {
             mit->onActivate(dram::BankId(bk), row, 1);
             acceptSequences();
@@ -442,14 +472,29 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
         }
     };
 
+    /** One sample per (bank, row) key, in key order. */
     const auto closeExposureWindow = [&]() {
-        for (const auto &[key, count] : windowActs) {
-            (void)key;
+        std::sort(windowActs.begin(), windowActs.end());
+        for (size_t i = 0; i < windowActs.size();) {
+            size_t j = i + 1;
+            while (j < windowActs.size() && windowActs[j] == windowActs[i])
+                ++j;
+            const uint64_t count = j - i;
             st.exposureSamples.push_back(count);
             st.maxRowActsPerRefWindow =
                 std::max(st.maxRowActsPerRefWindow, count);
+            i = j;
         }
         windowActs.clear();
+    };
+
+    /** Request index of @p b's first hit on its open row inside the
+     *  scheduler window, or SIZE_MAX when the window holds none. */
+    const auto firstHit = [&](BankSched &b) {
+        const size_t depth = std::min(b.q.size(), kHitWindow);
+        while (b.hitScan < depth && where[b.q[b.hitScan]].row != b.openRow)
+            ++b.hitScan;
+        return b.hitScan < depth ? b.q[b.hitScan] : SIZE_MAX;
     };
 
     while (pending > 0 || anyMitWork()) {
@@ -487,21 +532,14 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
             } else {
                 // Oldest hit within the scheduler window; arrived
                 // hits are ready, future ones are prefetch targets.
-                size_t hit_arrived = SIZE_MAX;
-                size_t hit_any = SIZE_MAX;
-                const size_t depth = std::min(b.q.size(), kHitWindow);
-                for (size_t k = 0; k < depth; ++k) {
-                    const size_t r = b.q[k];
-                    if (where[r].row != b.openRow)
-                        continue;
-                    // The queue is in arrival order, so its first hit
-                    // is the oldest one, and no later hit has arrived
-                    // if this one has not.
-                    hit_any = r;
-                    if (arrival(r) <= clock)
-                        hit_arrived = r;
-                    break;
-                }
+                // The queue is in arrival order, so its first hit is
+                // the oldest one, and no later hit has arrived if this
+                // one has not.
+                const size_t hit_any = firstHit(b);
+                const size_t hit_arrived =
+                    hit_any != SIZE_MAX && arrival(hit_any) <= clock
+                        ? hit_any
+                        : SIZE_MAX;
                 const bool cap_hit = opt.policy == RowPolicy::HitCap &&
                                      b.hitsSinceAct >= opt.maxRowHits;
                 if (hit_arrived != SIZE_MAX && !cap_hit) {
@@ -613,18 +651,12 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
             break;
           }
           case Action::Col: {
-            // Serve the picked request (it may sit mid-queue).
-            size_t r = SIZE_MAX;
-            size_t at = SIZE_MAX;
-            const size_t depth = std::min(b.q.size(), kHitWindow);
-            for (size_t k = 0; k < depth; ++k) {
-                if (pos[b.q[k]] == best.req) {
-                    r = b.q[k];
-                    at = k;
-                    break;
-                }
-            }
-            panicIf(r == SIZE_MAX, "mc::schedule: lost hit candidate");
+            // Serve the picked request: always the window's first hit
+            // (it may sit mid-queue).
+            const size_t at = b.hitScan;
+            panicIf(at >= b.q.size() || pos[b.q[at]] != best.req,
+                    "mc::schedule: lost hit candidate");
+            const size_t r = b.q[at];
             advanceTo(
                 ceilNs(std::max({clock, b.lastActPs + trcd,
                                  arrival(r)})));

@@ -149,23 +149,37 @@ class AddrDecoder
     uint64_t space_;
 };
 
+/**
+ * Latest request arrival schedule() accepts, in ps (about 53 days).
+ * Issue times run past the last arrival by the program's span, so half
+ * the int64_t range keeps the ps clock from overflowing.  readTrace()
+ * enforces the same limit on `arrival_ps`.
+ */
+inline constexpr int64_t kMaxArrivalPs = INT64_MAX / 2;
+
+/** Longest maxRowIdleNs or refreshIntervalNs schedule() accepts, in ns
+ *  (about 26 days): added to an issue time, it still fits. */
+inline constexpr int64_t kMaxIntervalNs = kMaxArrivalPs / 2000;
+
 /** Scheduler knobs (see docs/MC.md for the policy table). */
 struct SchedulerOptions
 {
     RowPolicy policy = RowPolicy::Open;
 
-    /** Timeout policy: close the row after this much idle time. */
+    /** Timeout policy: close the row after this much idle time
+     *  (0 to kMaxIntervalNs). */
     double maxRowIdleNs = 200.0;
 
-    /** HitCap policy: consecutive hits before a forced precharge. */
+    /** HitCap policy: consecutive hits before a forced precharge
+     *  (at least 1). */
     uint32_t maxRowHits = 4;
 
     /**
      * Auto-refresh insertion interval in whole nanoseconds: < 0
      * selects the config's tREFI, 0 disables REF insertion, > 0
-     * overrides.  Each REF is preceded by precharging every open bank
-     * and followed by a tRFC wait, and it closes one
-     * aggressor-exposure window.
+     * overrides (up to kMaxIntervalNs).  Each REF is preceded by
+     * precharging every open bank and followed by a tRFC wait, and it
+     * closes one aggressor-exposure window.
      */
     int64_t refreshIntervalNs = -1;
 
@@ -292,6 +306,11 @@ struct ScheduleResult
  * Requests are processed in arrival order (stable-sorted by
  * arrivalPs).  The scheduler is deterministic: equal inputs produce
  * byte-identical programs and stats.
+ *
+ * @throws std::invalid_argument naming the request index when a
+ *         request arrives after kMaxArrivalPs, or naming the field
+ *         when @p opt holds a zero maxRowHits under the cap policy or
+ *         an interval knob outside its documented range.
  */
 ScheduleResult schedule(const std::vector<Request> &reqs,
                         const dram::DeviceConfig &cfg,

@@ -165,7 +165,7 @@ readTrace(const std::string &path)
         uint64_t arrival = 0;
         jsonl::read(line,
                     {{.key = "arrival_ps", .num = &arrival,
-                      .max = uint64_t(INT64_MAX)},
+                      .max = uint64_t(kMaxArrivalPs)},
                      {.key = "addr", .num = &r.addr},
                      {.key = "type", .str = &type, .oneOf = kTypes}},
                     "trace", lineNo);

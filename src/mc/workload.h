@@ -80,7 +80,8 @@ void writeTrace(const std::string &path, const std::vector<Request> &reqs);
 /**
  * Reads a JSONL trace written by writeTrace() (or by hand) through
  * jsonl::read(); a malformed line throws jsonl::ParseError, reading
- * `trace:<line>:<col>: <reason>`.  Blank lines are skipped.
+ * `trace:<line>:<col>: <reason>`, and so does an `arrival_ps` past
+ * kMaxArrivalPs.  Blank lines are skipped.
  */
 std::vector<Request> readTrace(const std::string &path);
 

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bender/host.h"
@@ -510,6 +512,39 @@ TEST(CertifyCatalog, EveryBuiltinProgramCertifies)
             << entry.name << ": " << cert.summary();
         EXPECT_LE(cert.peakWindowPowerMw, cfg.energy.maxAvgPowerMw)
             << entry.name;
+    }
+}
+
+/**
+ * The certifier's half of the byte-identity contract: a digest of
+ * every catalog certificate and its diagnostics, slots included, at a
+ * threshold low enough that every looped hammer reports its bound
+ * (whose slot comes from the fast-forwarded row counters).
+ */
+TEST(CertifyCatalog, CertificatesMatchRecordedDigests)
+{
+    lint::CertifyOptions opts;
+    opts.exposureThreshold = 2;
+    using Case = std::pair<const char *, uint64_t>;
+    for (const auto &[preset, digest] :
+         {Case{"A_x8_2018", 0x6bd4513f77a84d99ULL},
+          Case{"HBM2_A", 0xe5a853e399e8675fULL}}) {
+        const auto cfg = dram::makePreset(preset);
+        testutil::Fnv1a fnv;
+        size_t bounds = 0;
+        for (const auto &entry : core::builtinPrograms(cfg)) {
+            const auto cert = lint::certify(entry.prog, cfg, opts);
+            fnv.str(entry.name + ": " + cert.summary());
+            for (const auto &d : cert.report.diags) {
+                fnv.str(std::string(lint::ruleId(d.rule)) + " slot " +
+                        std::to_string(d.slot) +
+                        (d.expected ? " expected: " : ": ") + d.message);
+                bounds += d.rule == Rule::ExposureBound;
+            }
+        }
+        EXPECT_GT(bounds, 0u) << preset;
+        EXPECT_EQ(fnv.h, digest)
+            << preset << ": digest 0x" << std::hex << fnv.h;
     }
 }
 

@@ -7,6 +7,8 @@
 #define DRAMSCOPE_TESTS_TEST_COMMON_H
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "bender/host.h"
 #include "bender/program.h"
@@ -38,6 +40,32 @@ tinyIdentitySwizzle()
     cfg.validate();
     return cfg;
 }
+
+/** FNV-1a, fed 64-bit words and length-prefixed strings: digests that
+ *  pin byte-identical outputs across refactors. */
+struct Fnv1a
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    word(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    void
+    str(const std::string &s)
+    {
+        word(s.size());
+        for (const char c : s) {
+            h ^= uint8_t(c);
+            h *= 0x100000001b3ULL;
+        }
+    }
+};
 
 // ---------------------------------------------------------------------
 // Property-based fuzzing of hammer kernels (fast-forward equivalence).

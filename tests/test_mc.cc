@@ -10,7 +10,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "bender/host.h"
 #include "bender/lint.h"
@@ -21,6 +23,7 @@
 #include "mc/sweep.h"
 #include "mc/workload.h"
 #include "test_common.h"
+#include "util/jsonl.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -225,6 +228,8 @@ TEST(McTrace, OutOfRangeNumbersAndRepeatedKeysAreRejected)
           "\"type\":\"rd\"}",
           "{\"arrival_ps\":18446744073709551615,\"addr\":3,"
           "\"type\":\"rd\"}",
+          "{\"arrival_ps\":9223372036854775807,\"addr\":3,"
+          "\"type\":\"rd\"}",
           "{\"arrival_ps\":1,\"arrival_ps\":2,\"addr\":3,"
           "\"type\":\"rd\"}"}) {
         {
@@ -242,13 +247,34 @@ TEST(McTrace, OutOfRangeNumbersAndRepeatedKeysAreRejected)
             ADD_FAILURE() << line << " threw an untyped " << e.what();
         }
     }
-    // The largest arrival time still fits.
+    // The latest arrival the scheduler accepts still fits.
     {
         std::ofstream out(path, std::ios::trunc);
-        out << "{\"arrival_ps\":9223372036854775807,\"addr\":3,"
-               "\"type\":\"rd\"}\n";
+        out << "{\"arrival_ps\":" << mc::kMaxArrivalPs
+            << ",\"addr\":3,\"type\":\"rd\"}\n";
     }
-    EXPECT_EQ(mc::readTrace(path).at(0).arrivalPs, INT64_MAX);
+    EXPECT_EQ(mc::readTrace(path).at(0).arrivalPs, mc::kMaxArrivalPs);
+    std::remove(path.c_str());
+}
+
+TEST(McTrace, ArrivalPastTheSchedulerLimitNamesItsLineAndColumn)
+{
+    const std::string path = testing::TempDir() + "mc_trace_late.jsonl";
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << "{\"arrival_ps\":10,\"addr\":3,\"type\":\"rd\"}\n"
+            << "{\"addr\":5, \"arrival_ps\":" << mc::kMaxArrivalPs + 1
+            << ",\"type\":\"rd\"}\n";
+    }
+    try {
+        mc::readTrace(path);
+        ADD_FAILURE() << "accepted an arrival past kMaxArrivalPs";
+    } catch (const jsonl::ParseError &e) {
+        EXPECT_EQ(e.line, 2u);
+        EXPECT_EQ(e.col, 25u);
+        EXPECT_EQ(std::string(e.what()).rfind("trace:2:25: ", 0), 0u)
+            << e.what();
+    }
     std::remove(path.c_str());
 }
 
@@ -379,6 +405,186 @@ TEST(McScheduler, ServesTheOldestArrivedHitFirstOnAnUnsortedTrace)
             cols.push_back(ins.col);
     }
     EXPECT_EQ(cols, (std::vector<dram::ColAddr>{0, 1, 2}));
+}
+
+TEST(McScheduler, ServesAHitThatEntersTheWindowWhenAServedHitLeaves)
+{
+    // 65 reads to bank 0 arrive together: the first and the last hit
+    // row 5, the 63 between them other rows.  The last one sits past
+    // the 64-entry hit window until serving the first erases it from
+    // the queue; it must then be served before the row closes.
+    const auto cfg = dram::makePreset("A_x8_2018");
+    const AddrDecoder dec(cfg);
+    std::vector<Request> reqs = {{dec.encode(0, 5, 0), ReqType::Read, 0}};
+    for (dram::RowAddr row = 100; row < 163; ++row)
+        reqs.push_back({dec.encode(0, row, 0), ReqType::Read, 0});
+    reqs.push_back({dec.encode(0, 5, 1), ReqType::Read, 0});
+    const auto res = mc::schedule(reqs, cfg, {});
+
+    std::vector<std::string> cmds;
+    for (const auto &ins : res.program.instrs()) {
+        if (ins.op == bender::Opcode::Act)
+            cmds.push_back("ACT row " + std::to_string(ins.row));
+        else if (ins.op == bender::Opcode::Rd)
+            cmds.push_back("RD col " + std::to_string(ins.col));
+        else if (ins.op == bender::Opcode::Pre)
+            cmds.push_back("PRE");
+        if (cmds.size() == 4)
+            break;
+    }
+    EXPECT_EQ(cmds, (std::vector<std::string>{"ACT row 5", "RD col 0",
+                                              "RD col 1", "PRE"}));
+    EXPECT_EQ(res.stats.served(), reqs.size());
+}
+
+TEST(McScheduler, RejectsInputsItCannotSchedule)
+{
+    const auto cfg = testutil::tinyPlain();
+    const auto reqs = mixedWorkload(cfg, 100, 4);
+    const auto expectRejected = [&](const std::vector<Request> &in,
+                                    const SchedulerOptions &opt,
+                                    const std::string &names) {
+        try {
+            mc::schedule(in, cfg, opt);
+            ADD_FAILURE() << "scheduled; expected a rejection of "
+                          << names;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(names),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    // A zero hit cap would close every row before serving it.
+    SchedulerOptions cap;
+    cap.policy = RowPolicy::HitCap;
+    cap.maxRowHits = 0;
+    expectRejected(reqs, cap, "maxRowHits");
+    cap.policy = RowPolicy::Open;  // The cap is unused: no error.
+    EXPECT_EQ(mc::schedule(reqs, cfg, cap).stats.served(), reqs.size());
+
+    // Times the int64 ps clock cannot hold.
+    auto late = reqs;
+    late[37].arrivalPs = mc::kMaxArrivalPs + 1;
+    expectRejected(late, {}, "request 37 ");
+    late[37].arrivalPs = INT64_MAX;
+    expectRejected(late, {}, "request 37 ");
+    SchedulerOptions knob;
+    knob.refreshIntervalNs = mc::kMaxIntervalNs + 1;
+    expectRejected(reqs, knob, "refreshIntervalNs");
+    knob = {};
+    knob.maxRowIdleNs = -1.0;
+    expectRejected(reqs, knob, "maxRowIdleNs");
+    knob.maxRowIdleNs = 1e300;
+    expectRejected(reqs, knob, "maxRowIdleNs");
+}
+
+TEST(McScheduler, AnArrivalAtTheLimitSchedulesInSpec)
+{
+    const auto cfg = dram::makePreset("A_x8_2018");
+    const AddrDecoder dec(cfg);
+    const std::vector<Request> reqs = {
+        {dec.encode(0, 5, 0), ReqType::Read, mc::kMaxArrivalPs},
+        {dec.encode(0, 9, 1), ReqType::Write, mc::kMaxArrivalPs},
+        {dec.encode(1, 5, 2), ReqType::Read, mc::kMaxArrivalPs},
+    };
+    SchedulerOptions opt;
+    opt.refreshIntervalNs = 0;  // One REF per tREFI would not fit RAM.
+    const auto res = mc::schedule(reqs, cfg, opt);
+    EXPECT_EQ(res.stats.served(), reqs.size());
+    EXPECT_GT(res.stats.spanPs, mc::kMaxArrivalPs);
+    // No timing rule fires; only the missing REFs are reported.
+    const auto report = bender::lint::lint(res.program, cfg);
+    for (const auto &d : report.diags)
+        EXPECT_EQ(d.rule, bender::lint::Rule::RefreshBudget) << d.message;
+}
+
+// ---------------------------------------------------------------------
+// The byte-identity contract, pinned: digests of every scheduled
+// program, its stats and its certificate over the workload x policy x
+// mitigation grid.  A change to the scheduler's or the certifier's
+// bookkeeping that keeps their algorithms must keep these digests.
+// ---------------------------------------------------------------------
+
+/**
+ * Digest of the grid on @p preset at 2000 requests per cell.
+ * @p lowered selects knobs under which every mitigation kind fires
+ * and neutralizes rows, and the hit cap closes the row after every
+ * column command; @p fired then counts each kind's sequences.
+ */
+uint64_t
+gridDigest(const std::string &preset, bool lowered,
+           std::map<std::string, uint64_t> &fired)
+{
+    const auto cfg = dram::makePreset(preset);
+    testutil::Fnv1a fnv;
+    for (const auto kind : mc::workloadTable()) {
+        WorkloadOptions wopt;
+        wopt.requests = 2000;
+        const auto reqs = mc::makeWorkload(kind, cfg, wopt);
+        for (const auto &policy : mc::policyTable()) {
+            for (const auto &mit : core::mitigationTable()) {
+                SchedulerOptions opt;
+                opt.policy = policy.policy;
+                opt.mitigation = mit.kind;
+                if (lowered) {
+                    // bench_mitigations' Graphene threshold; the other
+                    // kinds' are scaled down to 2000 requests.
+                    opt.maxRowHits = 1;
+                    auto &knobs = opt.mitigationOptions;
+                    knobs.graphene.threshold = 5;
+                    knobs.raaimt = 32;
+                    knobs.drfmInterval = 64;
+                    knobs.rowswap.threshold = 8;
+                }
+                const auto res = mc::schedule(reqs, cfg, opt);
+                fired[mit.id] += res.stats.mitFired;
+                fnv.word(res.program.size());
+                for (const auto &ins : res.program.instrs()) {
+                    fnv.word(uint64_t(ins.op));
+                    fnv.word(ins.bank);
+                    fnv.word(ins.row);
+                    fnv.word(ins.col);
+                    fnv.word(ins.data);
+                    fnv.word(ins.count);
+                    fnv.word(uint64_t(ins.ps));
+                }
+                fnv.str(res.stats.summary());
+                fnv.word(res.stats.exposureSamples.size());
+                for (const auto sample : res.stats.exposureSamples)
+                    fnv.word(sample);
+                const auto cert = bender::lint::certify(res.program, cfg);
+                fnv.str(cert.summary());
+            }
+        }
+    }
+    return fnv.h;
+}
+
+TEST(McScheduler, ProgramsAndCertificatesMatchRecordedDigests)
+{
+    struct Case
+    {
+        const char *preset;
+        bool lowered;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {"A_x8_2018", false, 0x03fa4145c02b3b2dULL},
+        {"A_x8_2018", true, 0xec2200c0d3fcbac3ULL},
+        {"HBM2_A", false, 0x2842825aec802c3cULL},
+        {"HBM2_A", true, 0xd251b468ea1015cdULL},
+    };
+    for (const auto &c : cases) {
+        std::map<std::string, uint64_t> fired;
+        const uint64_t got = gridDigest(c.preset, c.lowered, fired);
+        EXPECT_EQ(got, c.digest)
+            << c.preset << (c.lowered ? " lowered" : " default")
+            << ": digest 0x" << std::hex << got;
+        for (const auto &[id, n] : fired)
+            EXPECT_TRUE(!c.lowered || id == "none" || n > 0)
+                << c.preset << " " << id << " never fired";
+    }
 }
 
 // ---------------------------------------------------------------------

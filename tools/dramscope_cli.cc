@@ -41,6 +41,8 @@
  * Every device-driving subcommand also accepts `--faults=SPEC`
  * (docs/RESILIENCE.md): the device is wrapped in a deterministic
  * dram::FaultyDevice, e.g. `--faults=flip:1e-6,die:cmd=50000`.
+ * `lint` and `certify` build no device, so they reject `--device`,
+ * `--faults` and `--fastpath` as usage errors.
  *
  * `sweep` and `mcsweep` additionally accept `--jobs=N`, `--seed=S`,
  * `--retries=K`, `--timeout-ms=T`, `--checkpoint=FILE` and
@@ -70,13 +72,15 @@
  * Exit codes: 0 success; 1 a run that executed but failed (lint
  * errors, metrics mismatch, quarantined shards, failed AIB
  * validation, refused resume); 2 usage errors (unknown subcommand,
- * flag, --device or --faults value, malformed numbers).
+ * flag, --device or --faults value, malformed numbers, a device flag
+ * given to lint or certify).
  */
 
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -306,6 +310,27 @@ makeDevice(const dram::DeviceConfig &cfg, const std::string &spec,
 }
 
 /**
+ * Exits with a usage error when @p cmd, which builds no device, was
+ * given a device flag: ignoring it would pass the static result off
+ * as that device's.
+ */
+void
+rejectDeviceFlagsOrExit(const std::string &cmd, const Flags &flags)
+{
+    const char *flag = !flags.device.empty()     ? "--device"
+                       : !flags.faults.empty()   ? "--faults"
+                       : !flags.fastpath.empty() ? "--fastpath"
+                                                 : nullptr;
+    if (flag == nullptr)
+        return;
+    std::fprintf(stderr,
+                 "error: %s does not apply to '%s', which runs no "
+                 "device\n",
+                 flag, cmd.c_str());
+    std::exit(2);
+}
+
+/**
  * Applies the --fastpath flag (when given) to a freshly built host;
  * exits with a diagnostic on an unknown mode keyword.  Without the
  * flag the host keeps the DRAMSCOPE_FASTPATH environment selection.
@@ -360,6 +385,7 @@ usage()
         "docs/RESILIENCE.md)\n"
         "  --fastpath=off|exact               loop engine (default "
         "from DRAMSCOPE_FASTPATH, else exact)\n"
+        "  (lint and certify run no device and reject these three)\n"
         "sweep/mcsweep accept --jobs=N --seed=S --retries=K "
         "--timeout-ms=T --checkpoint=FILE --resume\n"
         "mc accepts --workload=streaming|chase|zipfian "
@@ -973,7 +999,13 @@ cmdMc(const std::string &preset, const Flags &flags)
     sopt.policy = *policy;
     sopt.mitigation = *mitigation;
     sopt.refreshIntervalNs = flags.refreshIntervalNs;
-    const auto result = mc::schedule(reqs, cfg, sopt);
+    mc::ScheduleResult result;
+    try {
+        result = mc::schedule(reqs, cfg, sopt);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 
     const auto lint_report = bender::lint::lint(result.program, cfg);
     size_t unexpected = 0;
@@ -1252,6 +1284,8 @@ main(int argc, char **argv)
             return cmdRetention(preset, flags);
         if (cmd == "report")
             return cmdReport(preset, flags);
+        if (cmd == "lint" || cmd == "certify")
+            rejectDeviceFlagsOrExit(cmd, flags);
         if (cmd == "lint")
             return cmdLint(preset, args.size() > 2 ? args[2] : "");
         if (cmd == "certify")
