@@ -38,22 +38,44 @@ Bank::Bank(const DeviceConfig &cfg, const SubarrayMap &map, BankId id)
                                dp.tempDoubleC);
 }
 
+RowState *
+Bank::findRow(RowAddr row)
+{
+    MemoEntry &m = memo_[row % memo_.size()];
+    if (m.row == row)
+        return m.rs;
+    const auto it = rows_.find(row);
+    if (it == rows_.end())
+        return nullptr;
+    m = {row, &it->second};
+    return m.rs;
+}
+
 RowState &
 Bank::rowState(RowAddr row, NanoTime now)
 {
     panicIf(row >= cfg_.rowsPerBank, "Bank: row out of range");
-    auto it = rows_.find(row);
-    if (it == rows_.end()) {
-        if (restored_.empty()) {
-            pending_ = BitVec(cfg_.rowsPerBank);
-            restored_ = BitVec(cfg_.rowsPerBank);
-        }
-        RowState rs;
-        rs.charge = BitVec(cfg_.rowBits, false);  // Power-up: discharged.
-        it = rows_.emplace(row, std::move(rs)).first;
-        noteRestore(row, it->second, now);
+    if (RowState *rs = findRow(row))
+        return *rs;
+    if (restored_.empty()) {
+        pending_ = BitVec(cfg_.rowsPerBank);
+        restored_ = BitVec(cfg_.rowsPerBank);
     }
-    return it->second;
+    // Power-up: discharged, which needs no charge vector yet.
+    RowState &rs = rows_[row];
+    memo_[row % memo_.size()] = {row, &rs};
+    noteRestore(row, rs, now);
+    return rs;
+}
+
+BitVec &
+Bank::ensureCharge(RowState &rs)
+{
+    if (rs.charge.empty()) {
+        rs.charge = BitVec(cfg_.rowBits, false);
+        ++chargeVectors_;
+    }
+    return rs.charge;
 }
 
 void
@@ -182,22 +204,23 @@ Bank::commitDisturb(RowAddr row, RowState &rs)
 
     const bool in_edge = map_.inEdgeSubarray(row);
 
-    // Aggressor row charge, per direction (nullptr = all discharged).
+    // Aggressor row charge, per direction (nullptr = all discharged,
+    // whether the row is not materialized or holds no vector).
     const BitVec *aggr[2] = {nullptr, nullptr};
     for (int dir = 0; dir < 2; ++dir) {
         if (rs.pendHammer[dir] == 0.0 && rs.pendPressNs[dir] == 0.0)
             continue;
         const auto nb = map_.neighbor(row, dir == 1);
         panicIf(!nb, "commitDisturb: pending dose without a neighbour");
-        auto it = rows_.find(*nb);
-        if (it != rows_.end())
-            aggr[dir] = &it->second.charge;
+        const RowState *as = findRow(*nb);
+        if (as && !as->charge.empty())
+            aggr[dir] = &as->charge;
     }
 
     // Rates must be computed against the row state the dose was
     // accumulated under; flipping cells in place while scanning would
     // let an early flip distort the pattern factors of later cells.
-    const BitVec before = rs.charge;
+    const BitVec before = ensureCharge(rs);
     const size_t n = before.size();
     for (BitlineIdx bl = 0; bl < n; ++bl) {
         const bool charged = before.get(bl);
@@ -260,6 +283,8 @@ Bank::commitRetention(RowAddr row, RowState &rs, NanoTime now)
     // evaluation window cannot find new decays.
     if (double(now - rs.lastRetentionScanNs) < min_ns)
         return;
+    // Stamp a row without a charge vector too: it may be written
+    // inside the window, and the scan must then stay skipped.
     rs.lastRetentionScanNs = now;
     const size_t n = rs.charge.size();
     for (BitlineIdx bl = 0; bl < n; ++bl) {
@@ -284,32 +309,41 @@ Bank::restoreRow(RowAddr row, NanoTime now)
 void
 Bank::commitRow(RowAddr row, NanoTime now)
 {
-    auto it = rows_.find(row);
-    if (it == rows_.end())
+    RowState *rs = findRow(row);
+    if (rs == nullptr)
         return;  // Untouched rows have nothing pending.
-    commitRetention(row, it->second, now);
-    commitDisturb(row, it->second);
+    commitRetention(row, *rs, now);
+    commitDisturb(row, *rs);
 }
 
 void
 Bank::registerAggressorDwell(RowAddr aggressor, double act_count,
                              double open_ns, NanoTime now)
 {
+    DwellMemo &m = dwellMemo_[aggressor % dwellMemo_.size()];
+    if (m.aggressor != aggressor) {
+        // A hit needs no rowState call: its victims already exist.
+        for (int dir = 0; dir < 2; ++dir) {
+            const auto victim = map_.neighbor(aggressor, dir == 1);
+            m.victim[dir] = victim.value_or(0);
+            m.vs[dir] = victim ? &rowState(*victim, now) : nullptr;
+        }
+        m.aggressor = aggressor;
+    }
+    // Only dwell time beyond the onset stresses the victim the
+    // RowPress way; ordinary RowHammer dwells contribute none.
+    const double press_ns =
+        std::max(0.0, open_ns - cfg_.disturb.pressOnsetNs);
     for (int dir = 0; dir < 2; ++dir) {
-        const auto victim = map_.neighbor(aggressor, dir == 1);
-        if (!victim)
+        RowState *vs = m.vs[dir];
+        if (vs == nullptr)
             continue;
         // For the victim below the aggressor, the aggressor is its
         // upper neighbour (pending index 1) and vice versa.
         const int pend_idx = (dir == 1) ? 0 : 1;
-        RowState &vs = rowState(*victim, now);
-        pending_.set(*victim, true);
-        vs.pendHammer[pend_idx] += act_count;
-        // Only dwell time beyond the onset stresses the victim the
-        // RowPress way; ordinary RowHammer dwells contribute none.
-        const double press_ns =
-            std::max(0.0, open_ns - cfg_.disturb.pressOnsetNs);
-        vs.pendPressNs[pend_idx] += act_count * press_ns;
+        pending_.set(m.victim[dir], true);
+        vs->pendHammer[pend_idx] += act_count;
+        vs->pendPressNs[pend_idx] += act_count * press_ns;
     }
 }
 
@@ -335,38 +369,37 @@ Bank::applyRowCopy(RowAddr src, RowAddr dst, NanoTime now)
             commitRow(*nb, now);
     }
 
-    RowState &ss = rowState(src, now);
-    // Copy the source charge out first: dst materialization may
-    // rehash the map and invalidate references.
-    const BitVec src_charge = ss.charge;
-    RowState &ds = rowState(dst, now);
+    // Reading the source in place is safe: materializing dst may
+    // rehash the map, which invalidates iterators but not references.
+    const BitVec &src_charge = ensureCharge(rowState(src, now));
+    BitVec &dst_charge = ensureCharge(rowState(dst, now));
     const size_t n = src_charge.size();
 
     switch (rel) {
       case CopyRelation::SameSubarray:
         // Both stripes hold the source row: full, non-inverted copy.
-        ds.charge = src_charge;
+        dst_charge = src_charge;
         break;
       case CopyRelation::DstAbove:
         // Shared stripe holds the source's odd bitlines; the
         // destination's even bitlines sit on the complementary sense
         // node, so they receive inverted charge.
         for (size_t m = 0; 2 * m + 1 < n; ++m)
-            ds.charge.set(2 * m, !src_charge.get(2 * m + 1));
+            dst_charge.set(2 * m, !src_charge.get(2 * m + 1));
         break;
       case CopyRelation::DstBelow:
         for (size_t m = 0; 2 * m + 1 < n; ++m)
-            ds.charge.set(2 * m + 1, !src_charge.get(2 * m));
+            dst_charge.set(2 * m + 1, !src_charge.get(2 * m));
         break;
       case CopyRelation::EdgePair:
         // The section's edge stripe serves the bottom-edge subarray's
         // even bitlines and the top-edge subarray's odd bitlines.
         if (map_.subarrayOf(dst).topEdge) {
             for (size_t m = 0; 2 * m + 1 < n; ++m)
-                ds.charge.set(2 * m + 1, !src_charge.get(2 * m));
+                dst_charge.set(2 * m + 1, !src_charge.get(2 * m));
         } else {
             for (size_t m = 0; 2 * m + 1 < n; ++m)
-                ds.charge.set(2 * m, !src_charge.get(2 * m + 1));
+                dst_charge.set(2 * m, !src_charge.get(2 * m + 1));
         }
         break;
       case CopyRelation::None:
@@ -379,7 +412,7 @@ Bank::applyRowCopy(RowAddr src, RowAddr dst, NanoTime now)
 BitVec &
 Bank::chargeRef(RowAddr row, NanoTime now)
 {
-    return rowState(row, now).charge;
+    return ensureCharge(rowState(row, now));
 }
 
 bool

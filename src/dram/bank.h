@@ -15,6 +15,7 @@
 #ifndef DRAMSCOPE_DRAM_BANK_H
 #define DRAMSCOPE_DRAM_BANK_H
 
+#include <array>
 #include <limits>
 #include <unordered_map>
 
@@ -29,7 +30,12 @@ namespace dram {
 /** Charge-level state and pending disturbance of one materialized row. */
 struct RowState
 {
-    /** Capacitor state per bitline: true = charged. */
+    /**
+     * Capacitor state per bitline: true = charged.  Empty while the
+     * row has only received dose: every cell is then discharged, and
+     * the vector is allocated on first need (a RD/WR, a RowCopy, or a
+     * disturbance commit past its early-out).
+     */
     BitVec charge;
 
     /**
@@ -78,6 +84,10 @@ class Bank
      * @param id Bank index (part of the variation hash key).
      */
     Bank(const DeviceConfig &cfg, const SubarrayMap &map, BankId id);
+
+    // The memos below point into this bank's own row map.
+    Bank(const Bank &) = delete;
+    Bank &operator=(const Bank &) = delete;
 
     /**
      * Restores row @p row at time @p now: commits pending disturbance
@@ -148,15 +158,27 @@ class Bank
     /** Access to counters. */
     const BankStats &stats() const { return stats_; }
 
-    /** Number of materialized rows (tests / memory accounting). */
+    /**
+     * Number of materialized rows, with or without a charge vector
+     * (tests / memory accounting).
+     */
     size_t materializedRows() const { return rows_.size(); }
+
+    /** Number of materialized rows that hold a charge vector. */
+    size_t chargeVectors() const { return chargeVectors_; }
 
     /** The subarray map (convenience for the Chip). */
     const SubarrayMap &subarrayMap() const { return map_; }
 
   private:
-    /** Returns the row state, materializing discharged cells. */
+    /** Returns the row state, materializing a dose-only row. */
     RowState &rowState(RowAddr row, NanoTime now);
+
+    /** The row state, or nullptr when @p row is not materialized. */
+    RowState *findRow(RowAddr row);
+
+    /** @p rs's charge vector, allocated all-discharged on first need. */
+    BitVec &ensureCharge(RowState &rs);
 
     /** Records that @p row's cells were fully restored at @p now. */
     void noteRestore(RowAddr row, RowState &rs, NanoTime now);
@@ -193,6 +215,36 @@ class Bank
     const SubarrayMap &map_;
     BankId id_;
     std::unordered_map<RowAddr, RowState> rows_;
+    size_t chargeVectors_ = 0;  //!< Rows in rows_ holding a vector.
+
+    /**
+     * Recent row -> state lookups, direct-mapped by the row's low
+     * bits, so a step-wise ACT..PRE and the bursts between find the
+     * row and its AIB neighbours without hashing.  The pointers stay
+     * valid: rows_ never erases, and unordered_map keeps element
+     * addresses across a rehash.  An unused entry's row is past any
+     * bank and maps to nullptr.
+     */
+    struct MemoEntry
+    {
+        RowAddr row = std::numeric_limits<RowAddr>::max();
+        RowState *rs = nullptr;
+    };
+    std::array<MemoEntry, 8> memo_{};
+
+    /**
+     * Recent aggressors' AIB victims, so that a repeated dwell skips
+     * the neighbour lookups too.  vs[0] is the row below, vs[1] the
+     * row above; nullptr past a subarray edge.
+     */
+    struct DwellMemo
+    {
+        RowAddr aggressor = std::numeric_limits<RowAddr>::max();
+        RowAddr victim[2] = {0, 0};
+        RowState *vs[2] = {nullptr, nullptr};
+    };
+    std::array<DwellMemo, 4> dwellMemo_{};
+
     BankStats stats_;
     double tempDoseScale_ = 1.0;  //!< Precomputed temperature factor.
 

@@ -478,12 +478,16 @@ TEST_F(RowCopyTest, AntiCellSubarraysCopyDataAsIs)
 // bank B with REF's definition, restoreRow of every materialized row
 // in ascending order.  Both see the same seeded operation stream,
 // including time running backwards (a second host on an earlier
-// clock), and must agree after every REF.
+// clock), and must agree after every REF.  Reading every row's charge
+// at a REF gives it a charge vector, so bank C, driven identically
+// but read only at the end, keeps its dose-only rows across REFs and
+// must end where A does.
 struct RefreshCounts
 {
     uint64_t refs = 0;
     uint64_t disturbFlips = 0;
     uint64_t retentionFlips = 0;
+    uint64_t doseOnlyAtRefs = 0;  //!< C's rows without a vector, summed.
 };
 
 RefreshCounts
@@ -494,6 +498,7 @@ runRefreshDifferential(uint64_t seed, int ops)
     const dram::SubarrayMap map(cfg);
     dram::Bank a(cfg, map, 0);
     dram::Bank b(cfg, map, 0);
+    dram::Bank c(cfg, map, 0);
     Rng rng(seed);
     std::set<RowAddr> touched;
     RefreshCounts counts;
@@ -508,14 +513,14 @@ runRefreshDifferential(uint64_t seed, int ops)
         const bool press = rng.chance(0.3);
         const double acts = double(rng.range(1, press ? 20000 : 200000));
         const double open_ns = press ? rng.uniform(1000.0, 10000.0) : 36.0;
-        for (dram::Bank *bk : {&a, &b})
+        for (dram::Bank *bk : {&a, &b, &c})
             bk->registerAggressorDwell(aggr, acts, open_ns, now);
         for (const bool up : {false, true}) {
             if (const auto v = map.neighbor(aggr, up)) {
                 touched.insert(*v);
                 if (commit) {
-                    a.commitRow(*v, now);
-                    b.commitRow(*v, now);
+                    for (dram::Bank *bk : {&a, &b, &c})
+                        bk->commitRow(*v, now);
                 }
             }
         }
@@ -535,13 +540,18 @@ runRefreshDifferential(uint64_t seed, int ops)
         const double op = rng.uniform();
         if (op < 0.10) {
             a.refreshAll(now);
+            c.refreshAll(now);
             for (const RowAddr r : touched)
                 b.restoreRow(r, now);
             ++counts.refs;
-            EXPECT_EQ(a.materializedRows(), touched.size());
-            EXPECT_EQ(b.materializedRows(), touched.size());
-            EXPECT_EQ(a.stats().disturbFlips, b.stats().disturbFlips);
-            EXPECT_EQ(a.stats().retentionFlips, b.stats().retentionFlips);
+            counts.doseOnlyAtRefs += c.materializedRows() - c.chargeVectors();
+            for (const dram::Bank *bk : {&a, &b, &c})
+                EXPECT_EQ(bk->materializedRows(), touched.size());
+            for (const dram::Bank *bk : {&b, &c}) {
+                EXPECT_EQ(a.stats().disturbFlips, bk->stats().disturbFlips);
+                EXPECT_EQ(a.stats().retentionFlips,
+                          bk->stats().retentionFlips);
+            }
             for (const RowAddr r : touched)
                 EXPECT_EQ(a.chargeRef(r, now), b.chargeRef(r, now)) << r;
             if (::testing::Test::HasFailure())
@@ -552,27 +562,29 @@ runRefreshDifferential(uint64_t seed, int ops)
             dwell(true);
         } else if (op < 0.60) {
             const RowAddr r = row();
-            a.restoreRow(r, now);
-            b.restoreRow(r, now);
+            for (dram::Bank *bk : {&a, &b, &c})
+                bk->restoreRow(r, now);
             touched.insert(r);
         } else if (op < 0.70) {
             const RowAddr r = row();
-            a.commitRow(r, now);
-            b.commitRow(r, now);
+            for (dram::Bank *bk : {&a, &b, &c})
+                bk->commitRow(r, now);
         } else if (op < 0.75) {
             const RowAddr r = row();
-            a.markRestored(r, now);
-            b.markRestored(r, now);
+            for (dram::Bank *bk : {&a, &b, &c})
+                bk->markRestored(r, now);
             touched.insert(r);
         } else {
             const RowAddr r = row();
             const uint64_t pattern = rng.next();
             const unsigned bits = unsigned(rng.range(1, 64));
-            a.chargeRef(r, now).fillPattern(pattern, bits);
-            b.chargeRef(r, now).fillPattern(pattern, bits);
+            for (dram::Bank *bk : {&a, &b, &c})
+                bk->chargeRef(r, now).fillPattern(pattern, bits);
             touched.insert(r);
         }
     }
+    for (const RowAddr r : touched)
+        EXPECT_EQ(a.chargeRef(r, now), c.chargeRef(r, now)) << r;
     counts.disturbFlips = a.stats().disturbFlips;
     counts.retentionFlips = a.stats().retentionFlips;
     return counts;
@@ -588,7 +600,93 @@ TEST(RefreshDifferential, MatchesRestoringEveryMaterializedRow)
         EXPECT_GT(c.refs, 150u);
         EXPECT_GT(c.disturbFlips, 1000u);
         EXPECT_GT(c.retentionFlips, 1000u);
+        EXPECT_GT(c.doseOnlyAtRefs, 100u);
     }
+}
+
+// A row that has only received dose holds no charge vector; these
+// pin that it behaves exactly like an all-discharged row that does.
+
+TEST(DoseOnlyRows, AggressorWithoutAVectorReadsAsDischarged)
+{
+    const DeviceConfig cfg = testutil::tinyPlain();
+    const dram::SubarrayMap map(cfg);
+    dram::Bank lazy(cfg, map, 0);
+    dram::Bank written(cfg, map, 0);
+    const RowAddr victim = 60, aggr = 61;  // Subarray 1: not edge.
+    const dram::NanoTime now = 1000;
+    for (dram::Bank *bk : {&lazy, &written}) {
+        bk->chargeRef(victim, now).fill(true);
+        // Dose from row 62 materializes the aggressor, below the
+        // commit's early-out, so it stays without a vector.
+        bk->registerAggressorDwell(aggr + 1, 1.0, 36.0, now);
+        bk->commitRow(aggr, now);
+    }
+    written.chargeRef(aggr, now).fill(false);
+    ASSERT_EQ(lazy.chargeVectors(), 1u);
+    ASSERT_EQ(written.chargeVectors(), 2u);
+
+    for (dram::Bank *bk : {&lazy, &written}) {
+        bk->registerAggressorDwell(aggr, 400000.0, 36.0, now);
+        bk->commitRow(victim, now);
+    }
+    // Reading the aggressor gave it no vector.
+    EXPECT_EQ(lazy.chargeVectors(), 1u);
+    EXPECT_GT(lazy.stats().disturbFlips, 10u);
+    EXPECT_EQ(lazy.stats().disturbFlips, written.stats().disturbFlips);
+    EXPECT_EQ(lazy.chargeRef(victim, now), written.chargeRef(victim, now));
+}
+
+TEST(DoseOnlyRows, CommitPastTheEarlyOutMatchesAnExplicitlyZeroedRow)
+{
+    const DeviceConfig cfg = testutil::tinyPlain();
+    const dram::SubarrayMap map(cfg);
+    dram::Bank lazy(cfg, map, 0);
+    dram::Bank written(cfg, map, 0);
+    const RowAddr victim = 60, aggr = 61;
+    const dram::NanoTime now = 1000;
+    for (dram::Bank *bk : {&lazy, &written})
+        bk->chargeRef(aggr, now).fill(true);
+    written.chargeRef(victim, now).fill(false);
+
+    for (dram::Bank *bk : {&lazy, &written})
+        bk->registerAggressorDwell(aggr, 400000.0, 36.0, now);
+    ASSERT_EQ(lazy.chargeVectors(), 1u);  // The victim holds dose only.
+    for (dram::Bank *bk : {&lazy, &written})
+        bk->commitRow(victim, now);
+    EXPECT_EQ(lazy.chargeVectors(), 2u);  // The commit gave it a vector.
+    EXPECT_GT(lazy.stats().disturbFlips, 10u);
+    EXPECT_EQ(lazy.stats().disturbFlips, written.stats().disturbFlips);
+    EXPECT_EQ(lazy.chargeRef(victim, now), written.chargeRef(victim, now));
+}
+
+TEST(DoseOnlyRows, RetentionScanStampsARowWithoutAVector)
+{
+    // A scan of a row without a vector finds nothing to decay, but
+    // must still stamp the row: a write inside the window after it
+    // is not scanned again until the window has passed.
+    DeviceConfig cfg = testutil::tinyPlain();
+    cfg.temperatureC = 95.0;  // So that 2 s decays most cells.
+    const dram::SubarrayMap map(cfg);
+    dram::Bank bank(cfg, map, 0);
+    const RowAddr row = 60;
+    const auto window_ns =
+        dram::NanoTime(cfg.retention.minEvalElapsedMs * 1.0e6);
+    dram::NanoTime now = 1000;
+    bank.restoreRow(row, now);
+    now += 2'000'000'000;
+    bank.commitRow(row, now);  // Scans, past the window.
+    ASSERT_EQ(bank.chargeVectors(), 0u);
+    bank.chargeRef(row, now).fill(true);
+    now += window_ns / 2;
+    bank.commitRow(row, now);  // Inside the window: skipped.
+    EXPECT_EQ(bank.stats().retentionFlips, 0u);
+    EXPECT_EQ(bank.chargeRef(row, now).popcount(), size_t(cfg.rowBits));
+
+    // Past the window the scan runs and finds the decayed cells.
+    now += window_ns;
+    bank.commitRow(row, now);
+    EXPECT_GT(bank.stats().retentionFlips, 0u);
 }
 
 } // namespace

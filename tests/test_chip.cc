@@ -246,5 +246,29 @@ TEST(Chip, StatsCountCommands)
     EXPECT_EQ(s.writes, cfg.columnsPerRow());
 }
 
+TEST(Chip, OnlyReadRowsHoldChargeVectors)
+{
+    // ACT/RD/PRE over rows at least 3 apart: every PRE gives dose to
+    // two neighbours of its own, which materialize without a charge
+    // vector; only the rows read allocate one.
+    const DeviceConfig cfg = testutil::tinyPlain();
+    dram::Chip chip(cfg);
+    const dram::SubarrayMap &map = chip.bank(0).subarrayMap();
+    dram::NanoTime now = 1000;
+    size_t acted = 0;
+    for (RowAddr row = 1; acted < 100; row += 3) {
+        if (!map.neighbor(row, false) || !map.neighbor(row, true))
+            continue;  // Subarray edge: one neighbour only.
+        chip.act(0, row, now);
+        chip.read(0, 0, now + 20);
+        chip.pre(0, now + 40);
+        now += 1000;
+        ++acted;
+    }
+    EXPECT_EQ(chip.violationCount(), 0u);
+    EXPECT_EQ(chip.bank(0).chargeVectors(), 100u);
+    EXPECT_EQ(chip.bank(0).materializedRows(), 300u);
+}
+
 } // namespace
 } // namespace dramscope

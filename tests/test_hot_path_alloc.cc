@@ -4,10 +4,10 @@
  *
  * This file replaces the global operator new/delete with counting
  * versions, so it builds into its own test binary: the counter sees
- * no other test and slows none.  Once a row is materialized, RD/WR
- * bursts, BitVec bit access, Swizzle lookups and passing checks must
- * not touch the heap; nor must ACT/PRE/REF over materialized rows, or
- * a violation once the violation log is full.
+ * no other test and slows none.  Once a row holds its charge vector,
+ * RD/WR bursts, BitVec bit access, Swizzle lookups and passing checks
+ * must not touch the heap; nor must ACT/PRE/REF over materialized
+ * rows, or a violation once the violation log is full.
  */
 
 #include <gtest/gtest.h>
@@ -92,8 +92,9 @@ expectAllocationFreeBursts(const char *preset)
     chip.act(0, 100, 1000);
     const dram::NanoTime now = 1100;  // Past tRCD.
 
-    // Warm-up: the first RD materializes the open row, the first WR
-    // commits (and materializes) its AIB neighbours.
+    // Warm-up: the ACT materializes the open row without a charge
+    // vector, the first RD allocates it, and the first WR runs the
+    // once-per-activation barrier on its AIB neighbours.
     g_sink = chip.read(0, 0, now);
     chip.write(0, 0, 0, now);
 

@@ -41,8 +41,7 @@
  * Every device-driving subcommand also accepts `--faults=SPEC`
  * (docs/RESILIENCE.md): the device is wrapped in a deterministic
  * dram::FaultyDevice, e.g. `--faults=flip:1e-6,die:cmd=50000`.
- * `lint` and `certify` build no device, so they reject `--device`,
- * `--faults` and `--fastpath` as usage errors.
+ * `lint` and `certify` build no device and take none of these flags.
  *
  * `sweep` and `mcsweep` additionally accept `--jobs=N`, `--seed=S`,
  * `--retries=K`, `--timeout-ms=T`, `--checkpoint=FILE` and
@@ -69,17 +68,22 @@
  * (`--mitigation=<kind>|all`, `--reqs=N`, `--seed=S` as in mcsweep).
  * Exit status 1 when any program fails certification.
  *
+ * A subcommand accepts only the flags it reads (kFlagsRead below);
+ * any other flag is a usage error naming the flag and the subcommand.
+ *
  * Exit codes: 0 success; 1 a run that executed but failed (lint
  * errors, metrics mismatch, quarantined shards, failed AIB
  * validation, refused resume); 2 usage errors (unknown subcommand,
- * flag, --device or --faults value, malformed numbers, a device flag
- * given to lint or certify).
+ * flag, --device or --faults value, malformed numbers, a flag the
+ * subcommand does not read).
  */
 
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -310,25 +314,35 @@ makeDevice(const dram::DeviceConfig &cfg, const std::string &spec,
 }
 
 /**
- * Exits with a usage error when @p cmd, which builds no device, was
- * given a device flag: ignoring it would pass the static result off
- * as that device's.
+ * The flags each subcommand reads.  Any other flag is a usage error:
+ * ignoring it would pass the run off as one made with that setting
+ * (a static certificate as a DIMM's, say, or one mc run as a sweep).
  */
-void
-rejectDeviceFlagsOrExit(const std::string &cmd, const Flags &flags)
-{
-    const char *flag = !flags.device.empty()     ? "--device"
-                       : !flags.faults.empty()   ? "--faults"
-                       : !flags.fastpath.empty() ? "--fastpath"
-                                                 : nullptr;
-    if (flag == nullptr)
-        return;
-    std::fprintf(stderr,
-                 "error: %s does not apply to '%s', which runs no "
-                 "device\n",
-                 flag, cmd.c_str());
-    std::exit(2);
-}
+const std::map<std::string, std::set<std::string>> kFlagsRead = {
+    {"list", {}},
+    {"inspect", {}},
+    {"lint", {}},
+    {"certify",
+     {"--threshold", "--power-budget-mw", "--power-window-ns", "--grid",
+      "--mitigation", "--reqs", "--seed"}},
+    {"hammer", {"--device", "--faults", "--fastpath", "--trace"}},
+    {"press", {"--device", "--faults", "--fastpath", "--trace"}},
+    {"rowcopy", {"--device", "--faults", "--fastpath", "--trace"}},
+    {"retention", {"--device", "--faults", "--fastpath"}},
+    {"report", {"--device", "--faults", "--fastpath"}},
+    {"stats", {"--device", "--faults", "--fastpath"}},
+    {"sweep",
+     {"--device", "--faults", "--fastpath", "--jobs", "--seed",
+      "--retries", "--timeout-ms", "--checkpoint", "--resume"}},
+    {"mc",
+     {"--device", "--faults", "--fastpath", "--workload", "--policy",
+      "--mitigation", "--refresh-interval-ns", "--reqs", "--seed",
+      "--trace", "--dump-trace"}},
+    {"mcsweep",
+     {"--device", "--faults", "--fastpath", "--jobs", "--seed",
+      "--retries", "--timeout-ms", "--checkpoint", "--resume", "--reqs",
+      "--mitigation"}},
+};
 
 /**
  * Applies the --fastpath flag (when given) to a freshly built host;
@@ -385,7 +399,7 @@ usage()
         "docs/RESILIENCE.md)\n"
         "  --fastpath=off|exact               loop engine (default "
         "from DRAMSCOPE_FASTPATH, else exact)\n"
-        "  (lint and certify run no device and reject these three)\n"
+        "  (lint and certify run no device and take none of these)\n"
         "sweep/mcsweep accept --jobs=N --seed=S --retries=K "
         "--timeout-ms=T --checkpoint=FILE --resume\n"
         "mc accepts --workload=streaming|chase|zipfian "
@@ -401,6 +415,7 @@ usage()
         "--power-window-ns=X (defaults from the device), and --grid\n"
         "  to certify the mc workload x policy x mitigation grid "
         "(--mitigation=<kind>|all, --reqs=N, --seed=S)\n"
+        "a flag the command does not read is a usage error\n"
         "see docs/MC.md for the policy and mitigation tables, "
         "docs/LINT_RULES.md for the rule registry\n");
     return 2;
@@ -1203,6 +1218,7 @@ main(int argc, char **argv)
         }
     }
     std::vector<std::string> args;
+    std::vector<std::string> given;  // Flag names, without "=value".
     Flags flags;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -1210,6 +1226,7 @@ main(int argc, char **argv)
             args.push_back(arg);
             continue;
         }
+        given.push_back(arg.substr(0, arg.find('=')));
         if (arg.rfind("--trace=", 0) == 0)
             flags.trace = arg.substr(8);
         else if (arg.rfind("--device=", 0) == 0)
@@ -1274,6 +1291,16 @@ main(int argc, char **argv)
     if (args.empty())
         return usage();
     const std::string &cmd = args[0];
+    const auto readable = kFlagsRead.find(cmd);
+    if (readable == kFlagsRead.end())
+        return usage();
+    for (const std::string &flag : given) {
+        if (readable->second.count(flag) == 0) {
+            std::fprintf(stderr, "error: %s does not apply to '%s'\n",
+                         flag.c_str(), cmd.c_str());
+            return 2;
+        }
+    }
     if (cmd == "list")
         return cmdList();
     if (args.size() >= 2) {
@@ -1284,8 +1311,6 @@ main(int argc, char **argv)
             return cmdRetention(preset, flags);
         if (cmd == "report")
             return cmdReport(preset, flags);
-        if (cmd == "lint" || cmd == "certify")
-            rejectDeviceFlagsOrExit(cmd, flags);
         if (cmd == "lint")
             return cmdLint(preset, args.size() > 2 ? args[2] : "");
         if (cmd == "certify")
