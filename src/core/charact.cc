@@ -31,8 +31,8 @@ Characterization::logicalOf(dram::RowAddr phys) const
 }
 
 AttackResult
-Characterization::runAttack(dram::AibMechanism mech, bool upper_aggressor,
-                            bool victim_even_wl, const BitVec &victim_bits,
+Characterization::runAttack(bool upper_aggressor, bool victim_even_wl,
+                            const BitVec &victim_bits,
                             const BitVec &aggr_bits, uint64_t count,
                             double open_ns)
 {
@@ -63,8 +63,6 @@ Characterization::runAttack(dram::AibMechanism mech, bool upper_aggressor,
     // One self-contained sweep unit per victim group: each writes both
     // of its rows before hammering and reading, so a thread-local
     // replica yields the same bits as the serial shared host.
-    // RowPress is the same command kernel with a long open time.
-    (void)mech;
     const auto diffs = sweep_.map<BitVec>(
         opts_.victimRows, [&](ShardContext &ctx) {
             const dram::RowAddr group =
@@ -101,7 +99,7 @@ Characterization::berVsPhysIndex(dram::AibMechanism mech,
     BitVec aggr(row_bits_, !victim_data_one);
     const bool hammer = mech == dram::AibMechanism::RowHammer;
     const AttackResult r = runAttack(
-        mech, upper_aggressor, victim_even_wl, victim, aggr,
+        upper_aggressor, victim_even_wl, victim, aggr,
         hammer ? opts_.hammerCount : opts_.pressCount,
         hammer ? opts_.hammerOpenNs : opts_.pressOpenNs);
 
@@ -131,8 +129,8 @@ Characterization::gateTypeBer(dram::AibMechanism mech)
         for (const bool upper : {false, true}) {
             BitVec victim(row_bits_, data_one);
             BitVec aggr(row_bits_, !data_one);
-            const AttackResult r = runAttack(mech, upper, true, victim,
-                                             aggr, count, open_ns);
+            const AttackResult r =
+                runAttack(upper, true, victim, aggr, count, open_ns);
             for (uint32_t i = 0; i < row_bits_; ++i) {
                 const uint32_t bl = map_.physOf(i);
                 // 6F^2 analysis (paper Figure 11): for an even WL,
@@ -236,9 +234,9 @@ Characterization::relativeBerVictimNeighbors(bool vic0_one,
 
     auto measure = [&](bool d1, bool d2) {
         const BitVec victim = lattice(vic0_one, d1, d2);
-        const AttackResult r =
-            runAttack(dram::AibMechanism::RowHammer, true, true, victim,
-                      aggr, opts_.hammerCount, opts_.hammerOpenNs);
+        const AttackResult r = runAttack(true, true, victim, aggr,
+                                         opts_.hammerCount,
+                                         opts_.hammerOpenNs);
         uint64_t flips = 0;
         for (uint32_t i : positions)
             flips += r.flipsPerHostBit[i];
@@ -275,9 +273,9 @@ Characterization::relativeBerAggrNeighbors(bool vic0_one, bool aggr0_same,
 
     auto measure = [&](bool a0, bool a1, bool a2) {
         const BitVec aggr = aggr_lattice(a0, a1, a2);
-        const AttackResult r =
-            runAttack(dram::AibMechanism::RowHammer, true, true, victim,
-                      aggr, opts_.hammerCount, opts_.hammerOpenNs);
+        const AttackResult r = runAttack(true, true, victim, aggr,
+                                         opts_.hammerCount,
+                                         opts_.hammerOpenNs);
         uint64_t flips = 0;
         for (uint32_t i : positions)
             flips += r.flipsPerHostBit[i];
@@ -375,9 +373,9 @@ Characterization::patternBer(uint8_t victim_nibble, uint8_t aggr_nibble)
     // layout happens to align with one gate phase.
     uint64_t flips = 0, cells = 0;
     for (const bool even_wl : {false, true}) {
-        const AttackResult r = runAttack(
-            dram::AibMechanism::RowHammer, true, even_wl, victim, aggr,
-            opts_.hammerCount, opts_.hammerOpenNs);
+        const AttackResult r =
+            runAttack(true, even_wl, victim, aggr, opts_.hammerCount,
+                      opts_.hammerOpenNs);
         for (uint32_t i = 0; i < row_bits_; ++i)
             flips += r.flipsPerHostBit[i];
         cells += uint64_t(r.rows) * row_bits_;

@@ -104,10 +104,11 @@ class Characterization
     /**
      * Core runner: victims at physical parity @p victim_even_wl, one
      * aggressor per victim on the chosen side; victim/aggressor rows
-     * hold the given host-order patterns.
+     * hold the given host-order patterns.  RowHammer and RowPress are
+     * the same command kernel: @p open_ns selects the mechanism.
      */
-    AttackResult runAttack(dram::AibMechanism mech, bool upper_aggressor,
-                           bool victim_even_wl, const BitVec &victim_bits,
+    AttackResult runAttack(bool upper_aggressor, bool victim_even_wl,
+                           const BitVec &victim_bits,
                            const BitVec &aggr_bits, uint64_t count,
                            double open_ns);
 

@@ -73,15 +73,6 @@ MitigationSequence::program(const dram::DeviceConfig &cfg) const
     return p;
 }
 
-int64_t
-MitigationSequence::costPs(const dram::TimingParams &t) const
-{
-    // Each row cycle: the ACT and PRE command slots (tCK each) plus
-    // the tRAS open and tRP precharge waits.
-    const int64_t perRow = 2 * ps(t.tCkNs) + ps(t.tRasNs) + ps(t.tRpNs);
-    return int64_t(rows.size()) * perRow + extraPs;
-}
-
 Mitigation::~Mitigation() = default;
 
 std::vector<dram::RowAddr>

@@ -159,9 +159,6 @@ struct MitigationSequence
      * `extraPs` wait.  Lints clean on every preset (catalog-covered).
      */
     bender::Program program(const dram::DeviceConfig &cfg) const;
-
-    /** Total bank-blocking cost of the sequence in picoseconds. */
-    int64_t costPs(const dram::TimingParams &t) const;
 };
 
 /**

@@ -21,9 +21,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <map>
@@ -44,10 +46,16 @@ resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("DRAMSCOPE_JOBS")) {
-        const long v = std::atol(env);
+    if (const char *env = std::getenv("DRAMSCOPE_JOBS"); env && *env) {
+        const char *end = env + std::strlen(env);
+        unsigned v = 0;
+        const auto [ptr, ec] = std::from_chars(env, end, v);
+        if (ec != std::errc() || ptr != end)
+            fatal(std::string("DRAMSCOPE_JOBS='") + env +
+                  "' is not a job count (a decimal integer that fits "
+                  "unsigned; 0 or empty for the default)");
         if (v > 0)
-            return unsigned(v);
+            return v;
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -18,8 +18,8 @@
  *   - results are merged in *shard order* (never completion order),
  *   - each shard's Rng stream is split from the base seed by *shard
  *     index* (never by worker or scheduling order),
- *   - replicas are constructed from the same DeviceConfig (same
- *     variationSeed) as the legacy host,
+ *   - replicas are built from the configuration the legacy host's
+ *     device was built from (same variationSeed; see DeviceFactory),
  *
  * and DRAMSCOPE_JOBS=N output is bit-identical to DRAMSCOPE_JOBS=1
  * for the same config and seed (locked down by tests/test_sweep.cc).
@@ -84,11 +84,13 @@ struct ShardContext
 };
 
 /**
- * Builds one worker-private device replica from the legacy host's
- * configuration.  The default (an empty function) constructs a
- * dram::Chip; sweeps over other backends (a DIMM rank, an HBM
- * channel) install a factory returning their own Device.  The factory
- * must return equivalent silicon for equal configs — replicas exist
+ * Builds one worker-private device replica.  It receives the legacy
+ * host's config(); the default (an empty function) builds a
+ * dram::Chip from it.  For a mapping::Dimm that config() is the rank
+ * view, which cannot rebuild the rank, so a factory for any backend
+ * other than a Chip must capture the configuration its device was
+ * built from and ignore the argument.  The factory must return
+ * silicon equivalent to the legacy host's device — replicas exist
  * only for parallelism and results stay bit-identical to serial.
  */
 using DeviceFactory =
@@ -122,7 +124,9 @@ struct SweepOptions
 /**
  * Resolves the effective job count: an explicit @p requested value
  * wins, then a positive integer in DRAMSCOPE_JOBS, then hardware
- * concurrency (at least 1).
+ * concurrency (at least 1).  An unset, empty or `0` DRAMSCOPE_JOBS
+ * keeps the default; any other value that is not a decimal integer
+ * fitting `unsigned` is fatal.
  */
 unsigned resolveJobs(unsigned requested = 0);
 
@@ -246,8 +250,8 @@ class SweepRunner
   public:
     /**
      * @param host Legacy host: serial shards run directly on it, and
-     *        parallel replicas copy its DeviceConfig.  Borrowed; must
-     *        outlive the runner.
+     *        parallel replicas are built from its config() (see
+     *        DeviceFactory).  Borrowed; must outlive the runner.
      * @param opts Job count and base seed.
      */
     explicit SweepRunner(bender::Host &host, SweepOptions opts = {});

@@ -14,14 +14,6 @@
 namespace dramscope {
 namespace mc {
 
-const std::vector<SweepCell> &
-sweepPlan()
-{
-    static const std::vector<SweepCell> plan =
-        sweepPlan({core::MitigationKind::None});
-    return plan;
-}
-
 std::vector<SweepCell>
 sweepPlan(const std::vector<core::MitigationKind> &mitigations)
 {

@@ -33,17 +33,12 @@ struct SweepCell
 };
 
 /**
- * The full grid, workload-major (all policies of one workload are
- * adjacent shards).  Shard index == position in this vector.
- */
-const std::vector<SweepCell> &sweepPlan();
-
-/**
- * The grid extended with a mitigation axis, mitigation-major: one
- * full workload x policy block per entry of @p mitigations, in the
- * given order.  With the default `{None}` this is exactly
- * sweepPlan() — shard indices (and so workload seeds, journals and
- * payload bytes) are preserved.
+ * The grid, mitigation-major: one full workload x policy block per
+ * entry of @p mitigations, in the given order, each block
+ * workload-major (all policies of one workload are adjacent shards).
+ * Shard index == position in this vector, so a `{None}` grid keeps
+ * the shard indices (and so workload seeds, journals and payload
+ * bytes) of the grid before the mitigation axis existed.
  */
 std::vector<SweepCell>
 sweepPlan(const std::vector<core::MitigationKind> &mitigations);

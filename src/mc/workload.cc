@@ -52,6 +52,15 @@ workloadTable()
 
 namespace {
 
+/** Fraction of reads (the rest are writes); chase reads only. */
+constexpr double kReadFraction = 0.75;
+
+/** Mean inter-arrival gap (ns); arrivals are jittered +-50%. */
+constexpr double kInterArrivalNs = 15.0;
+
+/** Zipf exponent: larger skews harder onto the hottest rows. */
+constexpr double kZipfSkew = 1.2;
+
 /** Continuous-approximation Zipf rank sampler: inverse-CDF of
  *  P(rank <= r) ~ r^(1-s), ranks in [1, n]. */
 uint64_t
@@ -77,26 +86,24 @@ makeWorkload(WorkloadKind kind, const dram::DeviceConfig &cfg,
     std::vector<Request> reqs;
     reqs.reserve(opt.requests);
 
-    const uint64_t rows =
-        opt.footprintRows == 0
-            ? dec.rows()
-            : std::min<uint64_t>(opt.footprintRows, dec.rows());
+    // Zipfian ranks are drawn from every row of the device.
+    const uint64_t rows = dec.rows();
 
     int64_t clock = 0;
     uint64_t chaseAddr = splitmix64(opt.seed) % dec.addressSpace();
     const uint64_t streamBase = chaseAddr;
 
     for (size_t i = 0; i < opt.requests; ++i) {
-        // Jittered arrival: mean interArrivalNs, uniform +-50%.
-        clock += int64_t(std::llround(opt.interArrivalNs * 1000.0 *
+        // Jittered arrival: mean kInterArrivalNs, uniform +-50%.
+        clock += int64_t(std::llround(kInterArrivalNs * 1000.0 *
                                       (0.5 + rng.uniform())));
         Request r;
         r.arrivalPs = clock;
         switch (kind) {
           case WorkloadKind::Streaming:
             r.addr = (streamBase + i) % dec.addressSpace();
-            r.type = rng.chance(opt.readFraction) ? ReqType::Read
-                                                  : ReqType::Write;
+            r.type = rng.chance(kReadFraction) ? ReqType::Read
+                                               : ReqType::Write;
             break;
           case WorkloadKind::PointerChase:
             r.addr = chaseAddr;
@@ -112,15 +119,15 @@ makeWorkload(WorkloadKind kind, const dram::DeviceConfig &cfg,
             // Hot ranks scatter over the footprint via a hash so the
             // hottest rows are not physically adjacent.
             const uint64_t rank = zipfRank(rng.uniform(), rows,
-                                           opt.zipfSkew);
+                                           kZipfSkew);
             const auto row = dram::RowAddr(
                 hashCombine(opt.seed ^ 0x517cc1b727220a95ULL, rank) %
                 rows);
             const auto bank = dram::BankId(rng.below(dec.banks()));
             const auto col = dram::ColAddr(rng.below(dec.columns()));
             r.addr = dec.encode(bank, row, col);
-            r.type = rng.chance(opt.readFraction) ? ReqType::Read
-                                                  : ReqType::Write;
+            r.type = rng.chance(kReadFraction) ? ReqType::Read
+                                               : ReqType::Write;
             break;
           }
         }

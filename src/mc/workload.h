@@ -43,26 +43,15 @@ std::optional<WorkloadKind> workloadFromString(const std::string &id);
 /** All generator kinds, in enum order. */
 const std::vector<WorkloadKind> &workloadTable();
 
-/** Generator knobs. */
+/**
+ * Generator knobs.  The traffic shape is fixed (workload.cc): 75%
+ * reads (chase reads only), a 15 ns mean inter-arrival gap jittered
+ * +-50%, and Zipf exponent 1.2 over every row of the device.
+ */
 struct WorkloadOptions
 {
     size_t requests = 1000;
     uint64_t seed = 0x5eedULL;
-
-    /** Fraction of reads (rest are writes); chase ignores this. */
-    double readFraction = 0.75;
-
-    /** Mean inter-arrival gap (ns); arrivals are jittered +-50%. */
-    double interArrivalNs = 15.0;
-
-    /**
-     * Rows the workload touches (footprint).  0 selects the whole
-     * device; Zipfian ranks are drawn from this many rows.
-     */
-    uint64_t footprintRows = 0;
-
-    /** Zipf exponent: larger skews harder onto the hottest rows. */
-    double zipfSkew = 1.2;
 };
 
 /** Generates @p opt.requests transactions for @p kind on @p cfg. */

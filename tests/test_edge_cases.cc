@@ -17,7 +17,6 @@
 #include "core/re_swizzle.h"
 #include "dram/hbm_stack.h"
 #include "test_common.h"
-#include "util/log.h"
 
 namespace dramscope {
 namespace {
@@ -200,15 +199,6 @@ TEST(EdgeCases, EccStatsReset)
     EXPECT_GT(ecc.stats().wordsRead, 0u);
     ecc.resetStats();
     EXPECT_EQ(ecc.stats().wordsRead, 0u);
-}
-
-TEST(EdgeCases, LogLevelsGate)
-{
-    const LogLevel before = Log::level();
-    Log::setLevel(LogLevel::Silent);
-    warn("this must not crash while silenced");
-    inform("neither must this");
-    Log::setLevel(before);
 }
 
 TEST(EdgeCases, MisspeltFastPathEnvIsFatal)

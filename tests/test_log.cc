@@ -1,8 +1,8 @@
 /**
  * @file
- * Log level filtering, panic/fatal semantics, and thread-safety of
- * Log::emit (the multithreaded case is what the thread-sanitizer CI
- * job exercises: sweep workers warn concurrently).
+ * panic/fatal semantics and thread-safety of warn() (the
+ * multithreaded case is what the thread-sanitizer CI job exercises:
+ * sweep workers warn concurrently).
  */
 
 #include <sstream>
@@ -16,60 +16,6 @@
 
 namespace dramscope {
 namespace {
-
-/** RAII guard restoring the process-wide log level. */
-class LevelGuard
-{
-  public:
-    explicit LevelGuard(LogLevel lvl) : saved_(Log::level())
-    {
-        Log::setLevel(lvl);
-    }
-    ~LevelGuard() { Log::setLevel(saved_); }
-
-  private:
-    LogLevel saved_;
-};
-
-std::string
-captureEmit(LogLevel emit_lvl, const std::string &msg)
-{
-    testing::internal::CaptureStderr();
-    Log::emit(emit_lvl, msg);
-    return testing::internal::GetCapturedStderr();
-}
-
-TEST(LogTest, MessagesAtOrBelowTheLevelAreEmitted)
-{
-    LevelGuard guard(LogLevel::Info);
-    EXPECT_EQ(captureEmit(LogLevel::Error, "boom"), "error: boom\n");
-    EXPECT_EQ(captureEmit(LogLevel::Warn, "hm"), "warn: hm\n");
-    EXPECT_EQ(captureEmit(LogLevel::Info, "fyi"), "info: fyi\n");
-}
-
-TEST(LogTest, MessagesAboveTheLevelAreDropped)
-{
-    LevelGuard guard(LogLevel::Warn);
-    EXPECT_EQ(captureEmit(LogLevel::Info, "fyi"), "");
-    EXPECT_EQ(captureEmit(LogLevel::Debug, "noise"), "");
-}
-
-TEST(LogTest, SilentDropsEverything)
-{
-    LevelGuard guard(LogLevel::Silent);
-    EXPECT_EQ(captureEmit(LogLevel::Error, "boom"), "");
-}
-
-TEST(LogTest, HelpersUseTheirLevel)
-{
-    LevelGuard guard(LogLevel::Debug);
-    testing::internal::CaptureStderr();
-    warn("w");
-    inform("i");
-    debugLog("d");
-    EXPECT_EQ(testing::internal::GetCapturedStderr(),
-              "warn: w\ninfo: i\ndebug: d\n");
-}
 
 TEST(LogDeathTest, PanicIfFiresWhenTheConditionHolds)
 {
@@ -86,7 +32,6 @@ TEST(LogDeathTest, FatalIfExitsWhenTheConditionHolds)
 
 TEST(LogTest, ConcurrentEmittersNeverInterleaveWithinALine)
 {
-    LevelGuard guard(LogLevel::Warn);
     constexpr int kThreads = 4;
     constexpr int kLines = 200;
 

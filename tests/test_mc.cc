@@ -153,7 +153,6 @@ TEST(McWorkloads, ZipfianConcentratesOnHotRows)
     const AddrDecoder dec(cfg);
     WorkloadOptions opt;
     opt.requests = 4000;
-    opt.zipfSkew = 1.5;
     const auto reqs =
         mc::makeWorkload(WorkloadKind::Zipfian, cfg, opt);
     std::map<uint64_t, uint64_t> perRow;
@@ -162,8 +161,8 @@ TEST(McWorkloads, ZipfianConcentratesOnHotRows)
     uint64_t hottest = 0;
     for (const auto &[row, n] : perRow)
         hottest = std::max(hottest, n);
-    // With skew 1.5 the hottest row takes a large share; uniform
-    // traffic over 1024 rows would put ~4 requests on each.
+    // At skew 1.2 over 1024 rows, rank 1 alone draws about 17% of the
+    // requests; uniform traffic would put ~4 requests on each row.
     EXPECT_GT(hottest, opt.requests / 20);
 }
 
@@ -827,7 +826,8 @@ TEST(McSweep, SerialAndParallelAgreeBitForBit)
     EXPECT_EQ(serial.second, parallel.second);
 
     // The grid covers every (workload, policy) cell, in plan order.
-    ASSERT_EQ(serial.first.size(), mc::sweepPlan().size());
+    ASSERT_EQ(serial.first.size(),
+              mc::sweepPlan({core::MitigationKind::None}).size());
     EXPECT_NE(serial.first[0].find("workload=streaming policy=open"),
               std::string::npos);
 }

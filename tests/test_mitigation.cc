@@ -107,12 +107,14 @@ TEST(MitigationSequences, ProgramsAreInSpecAndCostMatches)
     const auto report = bender::lint::lint(p, cfg);
     EXPECT_TRUE(report.diags.empty());
 
-    // Cost = one ACT..PRE cycle per row plus the extra wait.
+    // The program lasts one ACT..PRE cycle per row (two command slots
+    // plus the tRAS and tRP waits) and then the extra wait.
     const auto &t = cfg.timing;
     const auto cycle = 2 * int64_t(std::llround(t.tCkNs * 1000)) +
                        int64_t(std::llround(t.tRasNs * 1000)) +
                        int64_t(std::llround(t.tRpNs * 1000));
-    EXPECT_EQ(seq.costPs(t), int64_t(seq.rows.size()) * cycle + 12345);
+    EXPECT_EQ(report.durationPs,
+              int64_t(seq.rows.size()) * cycle + 12345);
 }
 
 // ---------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,12 +45,38 @@ TEST(SweepJobs, ExplicitRequestWins)
 
 TEST(SweepJobs, EnvironmentKnobParses)
 {
+    // The caller's value is restored at the end: CI runs the suite at
+    // DRAMSCOPE_JOBS=4 in one process.
+    const char *outer = std::getenv("DRAMSCOPE_JOBS");
+    const bool had_outer = outer != nullptr;
+    const std::string saved = had_outer ? outer : "";
+    ASSERT_EQ(unsetenv("DRAMSCOPE_JOBS"), 0);
+    const unsigned hardware = core::resolveJobs();
+    EXPECT_GE(hardware, 1u);
     ASSERT_EQ(setenv("DRAMSCOPE_JOBS", "5", 1), 0);
     EXPECT_EQ(core::resolveJobs(), 5u);
-    ASSERT_EQ(setenv("DRAMSCOPE_JOBS", "not-a-number", 1), 0);
-    EXPECT_GE(core::resolveJobs(), 1u);  // Falls back to hardware.
-    ASSERT_EQ(unsetenv("DRAMSCOPE_JOBS"), 0);
-    EXPECT_GE(core::resolveJobs(), 1u);
+    for (const char *value : {"", "0"}) {
+        ASSERT_EQ(setenv("DRAMSCOPE_JOBS", value, 1), 0);
+        EXPECT_EQ(core::resolveJobs(), hardware) << "'" << value << "'";
+    }
+
+    // Any other value that is not a decimal integer fitting unsigned
+    // is fatal, not a silent fallback.  The death statement runs in a
+    // child process, so the variable never leaks into the suite.
+    for (const char *bad :
+         {"not-a-number", "-2", "4abc", "+4", " 4", "4294967297"}) {
+        EXPECT_DEATH(
+            {
+                setenv("DRAMSCOPE_JOBS", bad, 1);
+                (void)core::resolveJobs();
+            },
+            "DRAMSCOPE_JOBS='.*' is not a job count")
+            << "'" << bad << "'";
+    }
+    if (had_outer)
+        ASSERT_EQ(setenv("DRAMSCOPE_JOBS", saved.c_str(), 1), 0);
+    else
+        ASSERT_EQ(unsetenv("DRAMSCOPE_JOBS"), 0);
 }
 
 class SweepRunnerTest : public ::testing::Test
@@ -299,11 +326,9 @@ TEST_F(SweepEquivalenceTest, RunAttackFlipsAreBitIdentical)
     Rig serial(cfg_, 1), parallel(cfg_, 4);
     const BitVec victim(cfg_.rowBits, true);
     const BitVec aggr(cfg_.rowBits, false);
-    const auto a = serial.charact.runAttack(AibMechanism::RowHammer,
-                                            true, true, victim, aggr,
+    const auto a = serial.charact.runAttack(true, true, victim, aggr,
                                             300000, 35.0);
-    const auto b = parallel.charact.runAttack(AibMechanism::RowHammer,
-                                              true, true, victim, aggr,
+    const auto b = parallel.charact.runAttack(true, true, victim, aggr,
                                               300000, 35.0);
     EXPECT_EQ(a.flipsPerHostBit, b.flipsPerHostBit);
     EXPECT_EQ(a.rows, b.rows);
@@ -397,8 +422,7 @@ TEST_F(SweepEquivalenceTest, MergedMetricsAreIdenticalAcrossAllEntryPoints)
     const auto exercise = [this](Characterization &charact) {
         const BitVec victim(cfg_.rowBits, true);
         const BitVec aggr(cfg_.rowBits, false);
-        (void)charact.runAttack(AibMechanism::RowHammer, true, true,
-                                victim, aggr, 50000, 35.0);
+        (void)charact.runAttack(true, true, victim, aggr, 50000, 35.0);
         (void)charact.berVsPhysIndex(AibMechanism::RowHammer, true, true);
         (void)charact.berVsPhysIndex(AibMechanism::RowPress, false, true);
         (void)charact.gateTypeBer(AibMechanism::RowHammer);

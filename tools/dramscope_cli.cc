@@ -1,83 +1,22 @@
 /**
  * @file
- * Command-line driver for the DRAMScope toolkit.
+ * Command-line front end of the DRAMScope toolkit; usage() lists the
+ * subcommands and the flags each one reads.
  *
- * Subcommands:
- *   list                         preset registry (Table I population)
- *   inspect <preset>             configuration and subarray layout
- *   hammer  <preset> <row> <n>   single-sided RowHammer, flip report
- *   press   <preset> <row> <n>   RowPress attack, flip report
- *   rowcopy <preset> <src> <dst> RowCopy probe with classification
- *   retention <preset>           retention survival curve
- *   report  <preset>             full reverse-engineering pipeline
- *   stats   <preset> [row] [n]   command metrics of a hammer workload
- *   lint    <preset> [name]      static analysis of built-in programs
- *   certify <preset> [name]      static exposure/energy certification
- *                                of built-in programs, or of the mc
- *                                sweep grid with --grid
- *   sweep   <preset> [shards] [n]  resilient BER sweep (checkpoint/
- *                                resume, fault injection, retry)
- *   mc      <preset>             scheduled traffic through the
- *                                memory-controller layer (docs/MC.md)
- *   mcsweep <preset>             resilient policy x workload mc sweep
+ * `--trace=FILE` on hammer, press and rowcopy writes one JSONL record
+ * ({ns, cmd, bank, row, col}) per issued command.  `--device=dimm` is
+ * a registered DIMM rank, with RCD inversion and the DQ twist applied
+ * inside the device.  `--faults=SPEC` wraps the device in a
+ * deterministic dram::FaultyDevice (docs/RESILIENCE.md).
  *
- * `lint` runs the bender::lint static analyzer (no device execution)
- * over every built-in command program — or just `name` — and prints
- * a diagnostics table.  Exit status 1 when any program has an
- * unexpected (unannotated) violation; expected violations such as
- * RowCopy's ACT inside tRP show as notes.
- *
- * `hammer`, `press` and `rowcopy` accept a trailing `--trace=FILE`
- * flag that streams every issued command as one JSONL record
- * ({ns, cmd, bank, row, col}) to FILE.
- *
- * Every device-driving subcommand accepts `--device=BACKEND` to pick
- * what sits behind the command interface:
- *   --device=chip        one chip (default)
- *   --device=dimm        a registered DIMM rank (RCD inversion + DQ
- *                        twist applied inside the device)
- *   --device=hbm[:N]     channel N of an HBM stack (default 0)
- *
- * Every device-driving subcommand also accepts `--faults=SPEC`
- * (docs/RESILIENCE.md): the device is wrapped in a deterministic
- * dram::FaultyDevice, e.g. `--faults=flip:1e-6,die:cmd=50000`.
- * `lint` and `certify` build no device and take none of these flags.
- *
- * `sweep` and `mcsweep` additionally accept `--jobs=N`, `--seed=S`,
- * `--retries=K`, `--timeout-ms=T`, `--checkpoint=FILE` and
- * `--resume`; see docs/RESILIENCE.md for the journal format and
- * resume semantics.
- *
- * `mc` accepts `--workload=streaming|chase|zipfian`,
- * `--policy=open|closed|timeout|cap`,
- * `--mitigation=none|graphene|rfm|drfm|rowswap`,
- * `--refresh-interval-ns=T`, `--reqs=N`, `--seed=S`,
- * `--trace=FILE` (replay a JSONL *address* trace instead of a
- * generator) and `--dump-trace=FILE` (record the generated stream);
- * `mcsweep` accepts `--reqs=N` and `--mitigation=<kind>|all` (a
- * mitigation axis on the grid).  See docs/MC.md.
- *
- * `certify` runs the whole-program effect analyzer
- * (bender::lint::certify) — proven per-row activation bound per
- * refresh window, per-command energy and rolling-window power —
- * without executing a single command.  It accepts `--threshold=N`
- * (exposure; default the device's weakest-cell threshold),
- * `--power-budget-mw=X` and `--power-window-ns=X` (defaults from the
- * device's EnergyParams), and `--grid` to certify every program the
- * mc scheduler emits for the workload x policy x mitigation grid
- * (`--mitigation=<kind>|all`, `--reqs=N`, `--seed=S` as in mcsweep).
- * Exit status 1 when any program fails certification.
- *
- * A subcommand accepts only the flags it reads (kFlagsRead below);
- * any other flag is a usage error naming the flag and the subcommand.
- *
- * Exit codes: 0 success; 1 a run that executed but failed (lint
- * errors, metrics mismatch, quarantined shards, failed AIB
- * validation, refused resume); 2 usage errors (unknown subcommand,
+ * Exit codes: 0 success; 1 a run that executed but failed (lint or
+ * certification errors, metrics mismatch, quarantined shards, failed
+ * AIB validation, refused resume); 2 usage errors (unknown subcommand,
  * flag, --device or --faults value, malformed numbers, a flag the
  * subcommand does not read).
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -86,6 +25,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bender/host.h"
@@ -120,7 +60,6 @@ struct Flags
                              //!< command trace to write).
     std::string device;      //!< --device=chip|dimm|hbm[:N].
     std::string faults;      //!< --faults=SPEC (fault injection).
-    std::string fastpath;    //!< --fastpath=off|exact.
     std::string checkpoint;  //!< --checkpoint=FILE (shard journal).
     std::string workload;    //!< --workload=streaming|chase|zipfian.
     std::string policy;      //!< --policy=open|closed|timeout|cap.
@@ -251,36 +190,73 @@ parseFaultsOrExit(const std::string &spec)
 }
 
 /**
+ * Parses the keyword @p id of @p flag with @p parse, a registry's
+ * fromString function; exits 2 with @p choices on an unknown one.
+ */
+template <typename Parse>
+auto
+parseKeywordOrExit(const std::string &id, Parse parse, const char *flag,
+                   const std::string &choices)
+{
+    const auto value = parse(id);
+    if (!value) {
+        std::fprintf(stderr, "error: unknown %s '%s' %s\n", flag,
+                     id.c_str(), choices.c_str());
+        std::exit(2);
+    }
+    return *value;
+}
+
+/**
+ * Parses the --mitigation value @p id of @p cmd: one registered kind,
+ * or "all" (the whole registry, None first) for every command but
+ * `mc`, which runs one schedule.
+ */
+std::vector<core::MitigationKind>
+parseMitigationsOrExit(const std::string &id, const std::string &cmd)
+{
+    const bool grid = cmd != "mc";
+    if (grid && id == "all") {
+        std::vector<core::MitigationKind> kinds;
+        for (const auto &info : core::mitigationTable())
+            kinds.push_back(info.kind);
+        return kinds;
+    }
+    return {parseKeywordOrExit(id, core::mitigationFromString,
+                               "--mitigation",
+                               "for " + cmd +
+                                   " (none|graphene|rfm|drfm|rowswap" +
+                                   (grid ? "|all)" : ")"))};
+}
+
+/**
  * The device behind the command interface, owned by the subcommand:
  * built from a preset configuration, a `--device=` spec and an
  * optional `--faults=` wrap.
  */
 struct DeviceUnderTest
 {
-    std::unique_ptr<dram::Chip> chip;
-    std::unique_ptr<mapping::Dimm> dimm;
-    std::unique_ptr<dram::HbmStack> hbm;
-    std::unique_ptr<dram::FaultyDevice> faulty;
+    std::unique_ptr<dram::HbmStack> hbm;  //!< The stack of an HBM channel.
+    std::unique_ptr<dram::Device> owned;  //!< Null for a bare HBM channel.
     dram::Device *dev = nullptr;
 };
 
 /**
- * Builds the backend selected by @p spec ("chip", "dimm",
+ * Builds the backend selected by --device ("chip", "dimm",
  * "hbm[:channel]") for @p cfg, wrapped in a FaultyDevice when
- * @p faults injects anything.  Exits with a diagnostic on an unknown
- * spec or an out-of-range HBM channel.
+ * --faults injects anything.  Exits with a diagnostic on a malformed
+ * --faults, an unknown --device or an out-of-range HBM channel.
  */
 DeviceUnderTest
-makeDevice(const dram::DeviceConfig &cfg, const std::string &spec,
-           const dram::FaultSpec &faults = {})
+makeDevice(const dram::DeviceConfig &cfg, const Flags &flags)
 {
+    const auto faults = parseFaultsOrExit(flags.faults);
+    const std::string &spec = flags.device;
     DeviceUnderTest d;
     if (spec.empty() || spec == "chip") {
-        d.chip = std::make_unique<dram::Chip>(cfg);
-        d.dev = d.chip.get();
+        d.owned = std::make_unique<dram::Chip>(cfg);
     } else if (spec == "dimm") {
-        d.dimm = std::make_unique<mapping::Dimm>(cfg);
-        d.dev = d.dimm.get();
+        d.owned = std::make_unique<mapping::Dimm>(cfg);
     } else if (spec.rfind("hbm", 0) == 0) {
         uint32_t channel = 0;
         if (spec.size() > 3) {
@@ -306,10 +282,13 @@ makeDevice(const dram::DeviceConfig &cfg, const std::string &spec,
                      spec.c_str());
         std::exit(2);
     }
-    if (!faults.empty()) {
-        d.faulty = std::make_unique<dram::FaultyDevice>(*d.dev, faults);
-        d.dev = d.faulty.get();
-    }
+    if (!faults.empty())
+        d.owned = d.owned ? std::make_unique<dram::FaultyDevice>(
+                                std::move(d.owned), faults)
+                          : std::make_unique<dram::FaultyDevice>(*d.dev,
+                                                                 faults);
+    if (d.owned)
+        d.dev = d.owned.get();
     return d;
 }
 
@@ -325,45 +304,24 @@ const std::map<std::string, std::set<std::string>> kFlagsRead = {
     {"certify",
      {"--threshold", "--power-budget-mw", "--power-window-ns", "--grid",
       "--mitigation", "--reqs", "--seed"}},
-    {"hammer", {"--device", "--faults", "--fastpath", "--trace"}},
-    {"press", {"--device", "--faults", "--fastpath", "--trace"}},
-    {"rowcopy", {"--device", "--faults", "--fastpath", "--trace"}},
-    {"retention", {"--device", "--faults", "--fastpath"}},
-    {"report", {"--device", "--faults", "--fastpath"}},
-    {"stats", {"--device", "--faults", "--fastpath"}},
+    {"hammer", {"--device", "--faults", "--trace"}},
+    {"press", {"--device", "--faults", "--trace"}},
+    {"rowcopy", {"--device", "--faults", "--trace"}},
+    {"retention", {"--device", "--faults"}},
+    {"report", {"--device", "--faults"}},
+    {"stats", {"--device", "--faults"}},
     {"sweep",
-     {"--device", "--faults", "--fastpath", "--jobs", "--seed",
+     {"--device", "--faults", "--jobs", "--seed",
       "--retries", "--timeout-ms", "--checkpoint", "--resume"}},
     {"mc",
-     {"--device", "--faults", "--fastpath", "--workload", "--policy",
+     {"--device", "--faults", "--workload", "--policy",
       "--mitigation", "--refresh-interval-ns", "--reqs", "--seed",
       "--trace", "--dump-trace"}},
     {"mcsweep",
-     {"--device", "--faults", "--fastpath", "--jobs", "--seed",
+     {"--device", "--faults", "--jobs", "--seed",
       "--retries", "--timeout-ms", "--checkpoint", "--resume", "--reqs",
       "--mitigation"}},
 };
-
-/**
- * Applies the --fastpath flag (when given) to a freshly built host;
- * exits with a diagnostic on an unknown mode keyword.  Without the
- * flag the host keeps the DRAMSCOPE_FASTPATH environment selection.
- */
-void
-applyFastPath(bender::Host &host, const Flags &flags)
-{
-    if (flags.fastpath.empty())
-        return;
-    const auto mode = dram::fastPathModeFromString(flags.fastpath);
-    if (!mode) {
-        std::fprintf(stderr,
-                     "error: unknown --fastpath '%s' "
-                     "(off|exact)\n",
-                     flags.fastpath.c_str());
-        std::exit(2);
-    }
-    host.setFastPathMode(*mode);
-}
 
 int
 usage()
@@ -397,8 +355,6 @@ usage()
         "sweep/mcsweep: chip|dimm)\n"
         "  --faults=SPEC                      fault injection (see "
         "docs/RESILIENCE.md)\n"
-        "  --fastpath=off|exact               loop engine (default "
-        "from DRAMSCOPE_FASTPATH, else exact)\n"
         "  (lint and certify run no device and take none of these)\n"
         "sweep/mcsweep accept --jobs=N --seed=S --retries=K "
         "--timeout-ms=T --checkpoint=FILE --resume\n"
@@ -499,10 +455,8 @@ cmdAttack(const std::string &preset, dram::RowAddr aggr, uint64_t count,
 {
     const auto cfg = dram::makePreset(preset);
     checkRowsOrExit(cfg, "row", aggr, 4, 4);
-    auto dut = makeDevice(cfg, flags.device,
-                          parseFaultsOrExit(flags.faults));
+    auto dut = makeDevice(cfg, flags);
     bender::Host host(*dut.dev);
-    applyFastPath(host, flags);
     const auto trace = maybeAttachTrace(host, flags.trace);
 
     // Probe a wide window: internal remapping can place the physical
@@ -548,10 +502,8 @@ cmdRowCopy(const std::string &preset, dram::RowAddr src,
     const auto cfg = dram::makePreset(preset);
     checkRowsOrExit(cfg, "src row", src, 0, 0);
     checkRowsOrExit(cfg, "dst row", dst, 0, 0);
-    auto dut = makeDevice(cfg, flags.device,
-                          parseFaultsOrExit(flags.faults));
+    auto dut = makeDevice(cfg, flags);
     bender::Host host(*dut.dev);
-    applyFastPath(host, flags);
     const auto trace = maybeAttachTrace(host, flags.trace);
     core::SubarrayMapper mapper(host);
     bool inverted = false;
@@ -577,10 +529,8 @@ cmdStats(const std::string &preset, dram::RowAddr aggr, uint64_t count,
 {
     const auto cfg = dram::makePreset(preset);
     checkRowsOrExit(cfg, "row", aggr, 0, 1);
-    auto dut = makeDevice(cfg, flags.device,
-                          parseFaultsOrExit(flags.faults));
+    auto dut = makeDevice(cfg, flags);
     bender::Host host(*dut.dev);
-    applyFastPath(host, flags);
     obs::MetricsRegistry metrics;
     host.setMetrics(&metrics);
 
@@ -673,30 +623,14 @@ cmdCertify(const std::string &preset, const std::string &name,
 
     std::vector<core::NamedProgram> units;
     if (flags.grid) {
-        // The same mitigation-axis parse as mcsweep, but defaulting
-        // to the full registry: the point of pre-flight is covering
-        // everything a later sweep could run.
-        std::vector<core::MitigationKind> mitigations;
-        if (flags.mitigation.empty() || flags.mitigation == "all") {
-            for (const auto &info : core::mitigationTable())
-                mitigations.push_back(info.kind);
-        } else {
-            const auto kind =
-                core::mitigationFromString(flags.mitigation);
-            if (!kind) {
-                std::fprintf(
-                    stderr,
-                    "error: unknown --mitigation '%s' for certify "
-                    "(none|graphene|rfm|drfm|rowswap|all)\n",
-                    flags.mitigation.c_str());
-                return 2;
-            }
-            mitigations = {*kind};
-        }
+        // Unlike mcsweep, the axis defaults to the full registry: the
+        // point of pre-flight is covering everything a sweep could run.
         mc::McSweepOptions mopt;
         mopt.requests = flags.reqs;
         mopt.seed = flags.seed;
-        const auto plan = mc::sweepPlan(mitigations);
+        const auto plan = mc::sweepPlan(parseMitigationsOrExit(
+            flags.mitigation.empty() ? "all" : flags.mitigation,
+            "certify"));
         for (uint32_t shard = 0; shard < plan.size(); ++shard) {
             const auto &cell = plan[shard];
             auto result =
@@ -758,10 +692,8 @@ int
 cmdRetention(const std::string &preset, const Flags &flags)
 {
     const auto cfg = dram::makePreset(preset);
-    auto dut = makeDevice(cfg, flags.device,
-                          parseFaultsOrExit(flags.faults));
+    auto dut = makeDevice(cfg, flags);
     bender::Host host(*dut.dev);
-    applyFastPath(host, flags);
     core::RetentionProfiler profiler(host);
     const auto profile = profiler.profile();
     Table t({"Wait (ms)", "Decayed", "Tested", "Fraction"});
@@ -780,10 +712,8 @@ int
 cmdReport(const std::string &preset, const Flags &flags)
 {
     const auto cfg = dram::makePreset(preset);
-    auto dut = makeDevice(cfg, flags.device,
-                          parseFaultsOrExit(flags.faults));
+    auto dut = makeDevice(cfg, flags);
     bender::Host host(*dut.dev);
-    applyFastPath(host, flags);
 
     std::printf("reverse-engineering %s ...\n", preset.c_str());
     core::AdjacencyMapper adjacency(host);
@@ -827,70 +757,129 @@ cmdReport(const std::string &preset, const Flags &flags)
 }
 
 /**
+ * What the resilient sweep subcommands, `sweep` and `mcsweep`, share.
+ * Constructing it parses --faults and accepts only
+ * --device=chip|dimm (HBM channels are borrowed from a stack, which
+ * does not fit the sweep's owning replica factory); it exits 2 naming
+ * the subcommand otherwise.
+ */
+struct SweepCommand
+{
+    SweepCommand(const char *name_arg, const std::string &preset,
+                 const Flags &flags_arg)
+        : name(name_arg), flags(flags_arg), cfg(dram::makePreset(preset)),
+          faults(parseFaultsOrExit(flags.faults))
+    {
+        if (!flags.device.empty() && flags.device != "chip" &&
+            flags.device != "dimm") {
+            std::fprintf(stderr,
+                         "error: %s supports --device=chip|dimm only\n",
+                         name);
+            std::exit(2);
+        }
+    }
+
+    /**
+     * Builds the device, its host and metrics, runs the subcommand's
+     * sweep, `call(runner, resilience options)`, under the journal
+     * @p tag, and prints one `result` line per shard (shard order, so
+     * CI can diff a resumed run against an uninterrupted one), the
+     * `<name> N shards:` summary and every counter named with one of
+     * @p metric_prefixes.  Returns the exit code.
+     */
+    template <typename Call>
+    int
+    run(const std::string &tag,
+        std::initializer_list<std::string_view> metric_prefixes,
+        const Call &call) const
+    {
+        auto dut = makeDevice(cfg, flags);
+        bender::Host host(*dut.dev);
+        obs::MetricsRegistry metrics;
+        host.setMetrics(&metrics);
+        // Replicas are built from the preset's chip configuration, not
+        // from the one the runner passes: a Dimm's config() is the rank
+        // view, which cannot rebuild the rank.
+        core::SweepRunner runner(
+            host, core::SweepOptions(flags.jobs, flags.seed,
+                                     [this](const dram::DeviceConfig &) {
+                                         return makeDevice(cfg, flags).owned;
+                                     }));
+
+        core::ResilienceOptions ropts;
+        ropts.retry.maxAttempts = flags.retries ? flags.retries : 1;
+        ropts.shardTimeoutMs = flags.timeoutMs;
+        ropts.checkpointPath = flags.checkpoint;
+        ropts.resume = flags.resume;
+        ropts.tag = tag;
+        core::SweepReport report;
+        try {
+            report = call(runner, ropts);
+        } catch (const core::ResumeError &e) {
+            std::fprintf(stderr, "error: %s\n", e.what());
+            return 1;
+        }
+
+        for (const auto &rec : report.shards) {
+            if (rec.status == core::ShardStatus::Quarantined) {
+                std::printf("result shard=%llu status=%s attempts=%u "
+                            "error=\"%s\"\n",
+                            (unsigned long long)rec.shard,
+                            core::toString(rec.status), rec.attempts,
+                            rec.error.c_str());
+            } else {
+                std::printf("result %s status=%s attempts=%u\n",
+                            rec.payload.c_str(),
+                            core::toString(rec.status), rec.attempts);
+            }
+        }
+        std::printf("%s %llu shards: %llu executed, %llu resumed, "
+                    "%llu retried, %llu quarantined, %llu timeout\n",
+                    name, (unsigned long long)report.shards.size(),
+                    (unsigned long long)report.executed,
+                    (unsigned long long)report.resumed,
+                    (unsigned long long)report.retries,
+                    (unsigned long long)report.quarantined,
+                    (unsigned long long)report.timeouts);
+        for (const auto &[counter, value] : metrics.snapshot().counters) {
+            if (std::any_of(metric_prefixes.begin(), metric_prefixes.end(),
+                            [&](std::string_view prefix) {
+                                return counter.starts_with(prefix);
+                            }))
+                std::printf("metric %s %llu\n", counter.c_str(),
+                            (unsigned long long)value);
+        }
+        return report.complete() ? 0 : 1;
+    }
+
+    const char *name;
+    const Flags &flags;
+    const dram::DeviceConfig cfg;  //!< The preset's configuration.
+    const dram::FaultSpec faults;  //!< The parsed --faults spec.
+};
+
+/**
  * Resilient BER sweep: every shard hammers one aggressor row and
- * reports the victim bit-flip count as its payload.  Exercises the
- * full robustness stack — per-shard retry/quarantine, watchdog,
- * checkpoint/resume and fault injection — and prints greppable
- * `result ...` lines (one per shard, shard order) so CI can diff an
- * interrupted-then-resumed run against an uninterrupted one.
+ * reports the victim bit-flip count as its payload, exercising
+ * per-shard retry/quarantine, the watchdog, checkpoint/resume and
+ * fault injection.
  */
 int
 cmdSweep(const std::string &preset, uint64_t shards, uint64_t hammers,
          const Flags &flags)
 {
-    const auto cfg = dram::makePreset(preset);
-    const auto faults = parseFaultsOrExit(flags.faults);
-    if (!flags.device.empty() && flags.device != "chip" &&
-        flags.device != "dimm") {
-        // HBM channels are borrowed from a stack, which does not fit
-        // the sweep's owning replica factory.
-        std::fprintf(stderr,
-                     "error: sweep supports --device=chip|dimm only\n");
-        return 2;
-    }
+    const SweepCommand sweep("sweep", preset, flags);
     // Shard s uses aggressor row 64 + 8*s; keep the probed window
     // inside the bank.
     const uint64_t top_row = 64 + 8 * (shards ? shards - 1 : 0) + 1;
-    if (shards == 0 || top_row >= cfg.rowsPerBank) {
+    if (shards == 0 || top_row >= sweep.cfg.rowsPerBank) {
         std::fprintf(stderr,
                      "error: shard count %llu out of range for %s "
                      "(1..%u)\n",
                      (unsigned long long)shards, preset.c_str(),
-                     (cfg.rowsPerBank - 66) / 8 + 1);
+                     (sweep.cfg.rowsPerBank - 66) / 8 + 1);
         return 2;
     }
-
-    auto dut = makeDevice(cfg, flags.device, faults);
-    bender::Host host(*dut.dev);
-    applyFastPath(host, flags);
-    obs::MetricsRegistry metrics;
-    host.setMetrics(&metrics);
-
-    core::SweepOptions sopts;
-    sopts.jobs = flags.jobs;
-    sopts.seed = flags.seed;
-    const bool dimm = flags.device == "dimm";
-    sopts.deviceFactory = [&faults, dimm](const dram::DeviceConfig &c)
-        -> std::unique_ptr<dram::Device> {
-        std::unique_ptr<dram::Device> dev;
-        if (dimm)
-            dev = std::make_unique<mapping::Dimm>(c);
-        else
-            dev = std::make_unique<dram::Chip>(c);
-        if (!faults.empty())
-            dev = std::make_unique<dram::FaultyDevice>(std::move(dev),
-                                                       faults);
-        return dev;
-    };
-    core::SweepRunner runner(host, sopts);
-
-    core::ResilienceOptions ropts;
-    ropts.retry.maxAttempts = flags.retries ? flags.retries : 1;
-    ropts.shardTimeoutMs = flags.timeoutMs;
-    ropts.checkpointPath = flags.checkpoint;
-    ropts.resume = flags.resume;
-    ropts.tag = preset + "/" + flags.device + "/h" +
-                std::to_string(hammers) + "/" + faults.toString();
 
     const auto unit = [hammers](core::ShardContext &ctx) {
         auto &host = ctx.host;
@@ -910,44 +899,15 @@ cmdSweep(const std::string &preset, uint64_t shards, uint64_t hammers,
                       (unsigned long long)flips);
         return std::string(buf);
     };
-
-    core::SweepReport report;
-    try {
-        report = runner.runResilient(uint32_t(shards), unit, ropts);
-    } catch (const core::ResumeError &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
-
-    for (const auto &rec : report.shards) {
-        if (rec.status == core::ShardStatus::Quarantined) {
-            std::printf("result shard=%llu status=%s attempts=%u "
-                        "error=\"%s\"\n",
-                        (unsigned long long)rec.shard,
-                        core::toString(rec.status), rec.attempts,
-                        rec.error.c_str());
-        } else {
-            std::printf("result %s status=%s attempts=%u\n",
-                        rec.payload.c_str(), core::toString(rec.status),
-                        rec.attempts);
-        }
-    }
-    std::printf("sweep %llu shards: %llu executed, %llu resumed, "
-                "%llu retried, %llu quarantined, %llu timeout\n",
-                (unsigned long long)report.shards.size(),
-                (unsigned long long)report.executed,
-                (unsigned long long)report.resumed,
-                (unsigned long long)report.retries,
-                (unsigned long long)report.quarantined,
-                (unsigned long long)report.timeouts);
-    const auto snap = metrics.snapshot();
-    for (const auto &[name, value] : snap.counters) {
-        if (name.rfind("faults.", 0) == 0 ||
-            name.rfind("sweep.", 0) == 0)
-            std::printf("metric %s %llu\n", name.c_str(),
-                        (unsigned long long)value);
-    }
-    return report.complete() ? 0 : 1;
+    return sweep.run(preset + "/" + flags.device + "/h" +
+                         std::to_string(hammers) + "/" +
+                         sweep.faults.toString(),
+                     {"faults.", "sweep."},
+                     [&](core::SweepRunner &runner,
+                         const core::ResilienceOptions &ropts) {
+                         return runner.runResilient(uint32_t(shards), unit,
+                                                    ropts);
+                     });
 }
 
 /**
@@ -962,36 +922,14 @@ cmdMc(const std::string &preset, const Flags &flags)
 {
     const auto cfg = dram::makePreset(preset);
 
-    const std::string wl_id =
-        flags.workload.empty() ? "zipfian" : flags.workload;
-    const auto workload = mc::workloadFromString(wl_id);
-    if (!workload) {
-        std::fprintf(stderr,
-                     "error: unknown --workload '%s' "
-                     "(streaming|chase|zipfian)\n",
-                     wl_id.c_str());
-        return 2;
-    }
-    const std::string pol_id =
-        flags.policy.empty() ? "open" : flags.policy;
-    const auto policy = mc::policyFromString(pol_id);
-    if (!policy) {
-        std::fprintf(stderr,
-                     "error: unknown --policy '%s' "
-                     "(open|closed|timeout|cap)\n",
-                     pol_id.c_str());
-        return 2;
-    }
-    const std::string mit_id =
-        flags.mitigation.empty() ? "none" : flags.mitigation;
-    const auto mitigation = core::mitigationFromString(mit_id);
-    if (!mitigation) {
-        std::fprintf(stderr,
-                     "error: unknown --mitigation '%s' for mc "
-                     "(none|graphene|rfm|drfm|rowswap)\n",
-                     mit_id.c_str());
-        return 2;
-    }
+    const auto workload = parseKeywordOrExit(
+        flags.workload.empty() ? "zipfian" : flags.workload,
+        mc::workloadFromString, "--workload", "(streaming|chase|zipfian)");
+    const auto policy = parseKeywordOrExit(
+        flags.policy.empty() ? "open" : flags.policy, mc::policyFromString,
+        "--policy", "(open|closed|timeout|cap)");
+    const auto mitigation = parseMitigationsOrExit(
+        flags.mitigation.empty() ? "none" : flags.mitigation, "mc")[0];
 
     std::vector<mc::Request> reqs;
     try {
@@ -1001,7 +939,7 @@ cmdMc(const std::string &preset, const Flags &flags)
             mc::WorkloadOptions wopt;
             wopt.requests = flags.reqs;
             wopt.seed = flags.seed;
-            reqs = mc::makeWorkload(*workload, cfg, wopt);
+            reqs = mc::makeWorkload(workload, cfg, wopt);
         }
         if (!flags.dumpTrace.empty())
             mc::writeTrace(flags.dumpTrace, reqs);
@@ -1011,8 +949,8 @@ cmdMc(const std::string &preset, const Flags &flags)
     }
 
     mc::SchedulerOptions sopt;
-    sopt.policy = *policy;
-    sopt.mitigation = *mitigation;
+    sopt.policy = policy;
+    sopt.mitigation = mitigation;
     sopt.refreshIntervalNs = flags.refreshIntervalNs;
     mc::ScheduleResult result;
     try {
@@ -1031,10 +969,8 @@ cmdMc(const std::string &preset, const Flags &flags)
         }
     }
 
-    auto dut = makeDevice(cfg, flags.device,
-                          parseFaultsOrExit(flags.faults));
+    auto dut = makeDevice(cfg, flags);
     bender::Host host(*dut.dev);
-    applyFastPath(host, flags);
     try {
         host.run(result.program);
     } catch (const std::exception &e) {
@@ -1047,14 +983,13 @@ cmdMc(const std::string &preset, const Flags &flags)
     // `--mitigation=none` output stays byte-identical to the
     // pre-mitigation CLI.
     std::string mit_field;
-    if (*mitigation != core::MitigationKind::None)
+    if (mitigation != core::MitigationKind::None)
         mit_field =
-            std::string("mitigation=") + core::mitigationId(*mitigation) +
+            std::string("mitigation=") + core::mitigationId(mitigation) +
             " ";
     std::printf("mc %s workload=%s policy=%s %s%s\n", preset.c_str(),
-                flags.trace.empty() ? mc::workloadId(*workload)
-                                    : "trace",
-                mc::policyId(*policy), mit_field.c_str(),
+                flags.trace.empty() ? mc::workloadId(workload) : "trace",
+                mc::policyId(policy), mit_field.c_str(),
                 st.summary().c_str());
     Table t({"Bank", "ACTs", "Hits", "Misses", "Conflicts"});
     for (size_t b = 0; b < st.bankActs.size(); ++b) {
@@ -1077,127 +1012,32 @@ cmdMc(const std::string &preset, const Flags &flags)
 
 /**
  * Resilient policy x workload sweep over the mc layer: one shard per
- * (workload, policy) cell, driven through SweepRunner::runResilient
- * so retry/quarantine, the watchdog, checkpoint/resume and fault
- * injection all apply.  Prints greppable `result ...` lines in shard
- * order, bit-identical for any --jobs.
+ * (workload, policy) cell, repeated for each kind on the mitigation
+ * axis ("all" sweeps the registry, None first, so the leading block
+ * stays byte-identical to the unmitigated sweep).
  */
 int
 cmdMcSweep(const std::string &preset, const Flags &flags)
 {
-    const auto cfg = dram::makePreset(preset);
-    const auto faults = parseFaultsOrExit(flags.faults);
-
-    // The mitigation axis: one workload x policy block per kind.
-    // "all" sweeps the full registry (None first, so the leading
-    // block stays byte-identical to the unmitigated sweep).
-    std::vector<core::MitigationKind> mitigations = {
-        core::MitigationKind::None};
-    if (flags.mitigation == "all") {
-        mitigations.clear();
-        for (const auto &info : core::mitigationTable())
-            mitigations.push_back(info.kind);
-    } else if (!flags.mitigation.empty()) {
-        const auto kind = core::mitigationFromString(flags.mitigation);
-        if (!kind) {
-            std::fprintf(stderr,
-                         "error: unknown --mitigation '%s' for mcsweep "
-                         "(none|graphene|rfm|drfm|rowswap|all)\n",
-                         flags.mitigation.c_str());
-            return 2;
-        }
-        mitigations = {*kind};
-    }
-
-    if (!flags.device.empty() && flags.device != "chip" &&
-        flags.device != "dimm") {
-        // HBM channels are borrowed from a stack, which does not fit
-        // the sweep's owning replica factory.
-        std::fprintf(stderr,
-                     "error: mcsweep supports --device=chip|dimm "
-                     "only\n");
-        return 2;
-    }
-
-    auto dut = makeDevice(cfg, flags.device, faults);
-    bender::Host host(*dut.dev);
-    applyFastPath(host, flags);
-    obs::MetricsRegistry metrics;
-    host.setMetrics(&metrics);
-
-    core::SweepOptions sopts;
-    sopts.jobs = flags.jobs;
-    sopts.seed = flags.seed;
-    const bool dimm = flags.device == "dimm";
-    sopts.deviceFactory = [&faults, dimm](const dram::DeviceConfig &c)
-        -> std::unique_ptr<dram::Device> {
-        std::unique_ptr<dram::Device> dev;
-        if (dimm)
-            dev = std::make_unique<mapping::Dimm>(c);
-        else
-            dev = std::make_unique<dram::Chip>(c);
-        if (!faults.empty())
-            dev = std::make_unique<dram::FaultyDevice>(std::move(dev),
-                                                       faults);
-        return dev;
-    };
-    core::SweepRunner runner(host, sopts);
-
-    core::ResilienceOptions ropts;
-    ropts.retry.maxAttempts = flags.retries ? flags.retries : 1;
-    ropts.shardTimeoutMs = flags.timeoutMs;
-    ropts.checkpointPath = flags.checkpoint;
-    ropts.resume = flags.resume;
-    ropts.tag = "mc/" + preset + "/" + flags.device + "/r" +
-                std::to_string(flags.reqs) + "/" + faults.toString();
-    // Only non-default axes change the tag, so pre-mitigation
-    // journals keep resuming.
-    if (!flags.mitigation.empty() && flags.mitigation != "none")
-        ropts.tag += "/mit=" + flags.mitigation;
-
+    const SweepCommand sweep("mcsweep", preset, flags);
     mc::McSweepOptions mopt;
     mopt.requests = flags.reqs;
     mopt.seed = flags.seed;
-    mopt.mitigations = mitigations;
+    mopt.mitigations = parseMitigationsOrExit(
+        flags.mitigation.empty() ? "none" : flags.mitigation, "mcsweep");
 
-    core::SweepReport report;
-    try {
-        report = mc::runMcSweep(runner, mopt, ropts);
-    } catch (const core::ResumeError &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
-
-    for (const auto &rec : report.shards) {
-        if (rec.status == core::ShardStatus::Quarantined) {
-            std::printf("result shard=%llu status=%s attempts=%u "
-                        "error=\"%s\"\n",
-                        (unsigned long long)rec.shard,
-                        core::toString(rec.status), rec.attempts,
-                        rec.error.c_str());
-        } else {
-            std::printf("result %s status=%s attempts=%u\n",
-                        rec.payload.c_str(), core::toString(rec.status),
-                        rec.attempts);
-        }
-    }
-    std::printf("mcsweep %llu shards: %llu executed, %llu resumed, "
-                "%llu retried, %llu quarantined, %llu timeout\n",
-                (unsigned long long)report.shards.size(),
-                (unsigned long long)report.executed,
-                (unsigned long long)report.resumed,
-                (unsigned long long)report.retries,
-                (unsigned long long)report.quarantined,
-                (unsigned long long)report.timeouts);
-    const auto snap = metrics.snapshot();
-    for (const auto &[name, value] : snap.counters) {
-        if (name.rfind("mc.", 0) == 0 ||
-            name.rfind("faults.", 0) == 0 ||
-            name.rfind("sweep.", 0) == 0)
-            std::printf("metric %s %llu\n", name.c_str(),
-                        (unsigned long long)value);
-    }
-    return report.complete() ? 0 : 1;
+    std::string tag = "mc/" + preset + "/" + flags.device + "/r" +
+                      std::to_string(flags.reqs) + "/" +
+                      sweep.faults.toString();
+    // Only non-default axes change the tag, so pre-mitigation
+    // journals keep resuming.
+    if (!flags.mitigation.empty() && flags.mitigation != "none")
+        tag += "/mit=" + flags.mitigation;
+    return sweep.run(tag, {"mc.", "faults.", "sweep."},
+                     [&](core::SweepRunner &runner,
+                         const core::ResilienceOptions &ropts) {
+                         return mc::runMcSweep(runner, mopt, ropts);
+                     });
 }
 
 } // namespace
@@ -1233,8 +1073,6 @@ main(int argc, char **argv)
             flags.device = arg.substr(9);
         else if (arg.rfind("--faults=", 0) == 0)
             flags.faults = arg.substr(9);
-        else if (arg.rfind("--fastpath=", 0) == 0)
-            flags.fastpath = arg.substr(11);
         else if (arg.rfind("--checkpoint=", 0) == 0)
             flags.checkpoint = arg.substr(13);
         else if (arg == "--resume")
