@@ -8,13 +8,14 @@
 #include <algorithm>
 
 #include "dram/faulty_device.h"
+#include "dram/timing.h"
 #include "util/log.h"
 
 namespace dramscope {
 namespace bender {
 
 Host::Host(dram::Device &dev)
-    : dev_(dev), tck_ps_(psFromNs(dev.config().timing.tCkNs)),
+    : dev_(dev), tck_ps_(dram::psFromNs(dev.config().timing.tCkNs)),
       lint_mode_(lint::modeFromEnv()),
       fastpath_mode_(dram::fastPathModeFromEnv())
 {

@@ -243,12 +243,6 @@ class Host
     const dram::DeviceConfig &config() const { return dev_.config(); }
 
   private:
-    /** Exact conversion for the repo's dyadic-rational timing values. */
-    static int64_t psFromNs(double ns)
-    {
-        return int64_t(std::llround(ns * 1000.0));
-    }
-
     /** Clock as a double ns value (observability timestamps). */
     double nowNsF() const { return double(now_ps_) / 1000.0; }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <utility>
 
+#include "dram/timing.h"
 #include "util/log.h"
 
 namespace dramscope {
@@ -111,29 +112,28 @@ fmtNs(int64_t ps)
 
 /**
  * The abstract interpreter.  Tracks a symbolic integer-picosecond
- * clock and a per-bank FSM through the program; loop bodies have
- * constant duration, so after a few simulated iterations the rest of
- * a loop is fast-forwarded arithmetically (timestamps written inside
- * the loop shift with the clock; pre-loop timestamps stay absolute).
+ * clock through the program and checks and applies every ACT and PRE
+ * through dram::TimingRules, the engine mc::schedule issues by; loop
+ * bodies have constant duration, so after a few simulated iterations
+ * the rest of a loop is fast-forwarded arithmetically (timestamps
+ * written inside the loop shift with the clock; pre-loop timestamps
+ * stay absolute).
  */
 class Interp
 {
   public:
     Interp(const Program &prog, const dram::DeviceConfig &cfg,
            Report &report, Certificate *cert = nullptr)
-        : instrs_(prog.instrs()), cfg_(cfg),
-          report_(report), cert_(cert), tck_ps_(ps(cfg.timing.tCkNs)),
-          trcd_ps_(ps(cfg.timing.tRcdNs)), tras_ps_(ps(cfg.timing.tRasNs)),
-          trp_ps_(ps(cfg.timing.tRpNs)), trc_ps_(ps(cfg.timing.tRcNs())),
-          trrd_ps_(ps(cfg.timing.tRrdNs)), tfaw_ps_(ps(cfg.timing.tFawNs)),
-          banks_(cfg.numBanks)
+        : instrs_(prog.instrs()), cfg_(cfg), report_(report), cert_(cert),
+          rules_(cfg.timing, cfg.numBanks), banks_(cfg.numBanks)
     {
         // Structural findings are already in the report; never emit
         // the same (rule, slot) twice.
         for (const auto &d : report_.diags)
             seen_.insert({uint8_t(d.rule), d.slot});
         if (cert_ != nullptr) {
-            window_ps_ = std::max<int64_t>(ps(cert_->powerWindowNs), 1);
+            window_ps_ =
+                std::max<int64_t>(dram::psFromNs(cert_->powerWindowNs), 1);
             background_mw_ = cfg.energy.backgroundMw;
         }
     }
@@ -158,12 +158,6 @@ class Interp
      */
     static constexpr uint64_t kSimIters = 6;
 
-    static int64_t
-    ps(double ns)
-    {
-        return int64_t(std::llround(ns * 1000.0));
-    }
-
     /** Symbolic ACT count of one (bank, row) in the current window. */
     struct RowActs
     {
@@ -171,13 +165,11 @@ class Interp
         size_t lastSlot = 0;  //!< Slot of the latest ACT.
     };
 
+    /** What the messages name about a bank's open row. */
     struct BankState
     {
-        bool open = false;
         dram::RowAddr openRow = 0;
         size_t openSlot = 0;     //!< Slot of the opening ACT.
-        int64_t lastActPs = -1;  //!< Issue time of the last ACT.
-        int64_t lastPrePs = -1;  //!< Issue time of the last PRE.
     };
 
     void
@@ -216,7 +208,7 @@ class Interp
     /**
      * Effect analysis: a command costing @p pj issues at the current
      * clock.  Maintains the rolling power window (the energy
-     * generalization of the four-ACT tFAW deque) and its peak.
+     * generalization of the four-ACT tFAW window) and its peak.
      */
     void
     trackEnergy(size_t slot, double pj)
@@ -240,91 +232,91 @@ class Interp
         }
     }
 
+    /**
+     * Raises @p rule when the clock is short of its @p bound, which
+     * lies @p limit after the command the rule measures from.  The
+     * message is head() (built only then), the time since that
+     * command, @p since, and the limit.
+     */
+    template <typename Head>
+    void
+    checkBound(Rule rule, size_t slot, int64_t bound, int64_t limit,
+               const Head &head, const char *since)
+    {
+        if (clock_ps_ < bound) {
+            diag(rule, slot,
+                 head() + fmtNs(clock_ps_ - (bound - limit)) + since +
+                     fmtNs(limit));
+        }
+    }
+
+    /** An ACT to an open bank is dropped, as the device drops it:
+     *  act-open is its only finding, and it restarts no clock. */
     void
     onAct(const Instr &ins, size_t slot)
     {
-        const int64_t t = clock_ps_;
-        auto &bank = banks_[ins.bank];
-        if (bank.open) {
+        const dram::BankId b = ins.bank;
+        const auto act = [&] { return "ACT bank " + std::to_string(b); };
+        const auto act_row = [&] {
+            return act() + " row " + std::to_string(ins.row) + ": ";
+        };
+        const auto act_colon = [&] { return act() + ": "; };
+        if (rules_.open(b)) {
             diag(Rule::ActOpen, slot,
-                 "ACT bank " + std::to_string(ins.bank) + " row " +
-                     std::to_string(ins.row) + ": row " +
-                     std::to_string(bank.openRow) + " is still open");
-        } else if (bank.lastPrePs >= 0 && t - bank.lastPrePs < trp_ps_) {
-            diag(Rule::TRp, slot,
-                 "ACT bank " + std::to_string(ins.bank) + " row " +
-                     std::to_string(ins.row) + ": " +
-                     fmtNs(t - bank.lastPrePs) + " since PRE, tRP is " +
-                     fmtNs(trp_ps_));
+                 act_row() + "row " + std::to_string(banks_[b].openRow) +
+                     " is still open");
+            return;
         }
-        if (bank.lastActPs >= 0 && t - bank.lastActPs < trc_ps_) {
-            diag(Rule::TRc, slot,
-                 "ACT bank " + std::to_string(ins.bank) + ": " +
-                     fmtNs(t - bank.lastActPs) +
-                     " since the previous same-bank ACT, tRC is " +
-                     fmtNs(trc_ps_));
-        }
-        if (last_act_any_ps_ >= 0 && t - last_act_any_ps_ < trrd_ps_) {
-            diag(Rule::TRrd, slot,
-                 "ACT bank " + std::to_string(ins.bank) + ": " +
-                     fmtNs(t - last_act_any_ps_) +
-                     " since the previous ACT, tRRD is " +
-                     fmtNs(trrd_ps_));
-        }
-        if (faw_.size() == 4 && t - faw_.front() < tfaw_ps_) {
-            diag(Rule::TFaw, slot,
-                 "ACT bank " + std::to_string(ins.bank) +
-                     ": fifth ACT " + fmtNs(t - faw_.front()) +
-                     " after the fourth-most-recent one, tFAW is " +
-                     fmtNs(tfaw_ps_));
-        }
-        faw_.push_back(t);
-        if (faw_.size() > 4)
-            faw_.pop_front();
-        last_act_any_ps_ = t;
-        bank.lastActPs = t;
-        bank.open = true;
-        bank.openRow = ins.row;
-        bank.openSlot = slot;
+        checkBound(Rule::TRp, slot, rules_.trpBound(b), rules_.trp,
+                   act_row, " since PRE, tRP is ");
+        checkBound(Rule::TRc, slot, rules_.trcBound(b), rules_.trc,
+                   act_colon,
+                   " since the previous same-bank ACT, tRC is ");
+        checkBound(Rule::TRrd, slot, rules_.trrdBound(), rules_.trrd,
+                   act_colon, " since the previous ACT, tRRD is ");
+        checkBound(Rule::TFaw, slot, rules_.tfawBound(), rules_.tfaw,
+                   [&] { return act() + ": fifth ACT "; },
+                   " after the fourth-most-recent one, tFAW is ");
+        rules_.applyAct(b, clock_ps_);
+        banks_[b] = {ins.row, slot};
     }
 
+    /** A PRE to a precharged bank is a dropped NOP. */
     void
     onPre(const Instr &ins, size_t slot)
     {
-        auto &bank = banks_[ins.bank];
-        if (bank.open && clock_ps_ - bank.lastActPs < tras_ps_) {
-            diag(Rule::TRas, slot,
-                 "PRE bank " + std::to_string(ins.bank) + ": " +
-                     fmtNs(clock_ps_ - bank.lastActPs) +
-                     " since ACT, tRAS is " + fmtNs(tras_ps_));
-        }
-        bank.open = false;
-        bank.lastPrePs = clock_ps_;
+        if (!rules_.open(ins.bank))
+            return;
+        checkBound(Rule::TRas, slot, rules_.earliestPre(ins.bank),
+                   rules_.tras,
+                   [&] {
+                       return "PRE bank " + std::to_string(ins.bank) + ": ";
+                   },
+                   " since ACT, tRAS is ");
+        rules_.applyPre(ins.bank, clock_ps_);
     }
 
     void
     onRw(const Instr &ins, size_t slot, const char *verb)
     {
-        auto &bank = banks_[ins.bank];
-        if (!bank.open) {
+        const auto head = [&] {
+            return std::string(verb) + " bank " + std::to_string(ins.bank) +
+                   " col " + std::to_string(ins.col) + ": ";
+        };
+        if (!rules_.open(ins.bank)) {
             diag(Rule::RwClosed, slot,
-                 std::string(verb) + " bank " + std::to_string(ins.bank) +
-                     " col " + std::to_string(ins.col) +
-                     ": bank is precharged (no open row)");
-        } else if (clock_ps_ - bank.lastActPs < trcd_ps_) {
-            diag(Rule::TRcd, slot,
-                 std::string(verb) + " bank " + std::to_string(ins.bank) +
-                     " col " + std::to_string(ins.col) + ": " +
-                     fmtNs(clock_ps_ - bank.lastActPs) +
-                     " since ACT, tRCD is " + fmtNs(trcd_ps_));
+                 head() + "bank is precharged (no open row)");
+            return;
         }
+        checkBound(Rule::TRcd, slot, rules_.earliestRw(ins.bank),
+                   rules_.trcd, head, " since ACT, tRCD is ");
     }
 
     void
     onRef(size_t slot)
     {
         for (size_t b = 0; b < banks_.size(); ++b) {
-            if (banks_[b].open) {
+            if (rules_.open(uint32_t(b))) {
                 diag(Rule::RefOpen, slot,
                      "REF: bank " + std::to_string(b) + " row " +
                          std::to_string(banks_[b].openRow) +
@@ -363,27 +355,15 @@ class Interp
                 const std::map<uint64_t, RowActs> &acts0)
     {
         const int64_t shift = int64_t(skipped) * iter_ps;
-        const auto shifted = [&](int64_t ts) {
-            return ts >= loop_start_ps ? ts + shift : ts;
-        };
         clock_ps_ += shift;
         report_.commandCount += skipped * iter_cmds;
         report_.refCount += skipped * iter_refs;
-        for (auto &bank : banks_) {
-            if (bank.lastActPs >= 0)
-                bank.lastActPs = shifted(bank.lastActPs);
-            if (bank.lastPrePs >= 0)
-                bank.lastPrePs = shifted(bank.lastPrePs);
-        }
-        if (last_act_any_ps_ >= 0)
-            last_act_any_ps_ = shifted(last_act_any_ps_);
-        for (auto &ts : faw_)
-            ts = shifted(ts);
+        rules_.shift(loop_start_ps, shift);
         if (cert_ == nullptr)
             return;
         cmd_energy_pj_ += double(skipped) * iter_pj;
         for (auto &ev : pwr_)
-            ev.first = shifted(ev.first);
+            ev.first += ev.first >= loop_start_ps ? shift : 0;
         if (iter_refs == 0) {
             for (auto &[key, row] : row_acts_) {
                 const auto it0 = acts0.find(key);
@@ -404,57 +384,48 @@ class Interp
         }
     }
 
+    /** What every command costs: its energy, its count and one tCK. */
+    void
+    issued(size_t slot, double pj)
+    {
+        trackEnergy(slot, pj);
+        ++report_.commandCount;
+        clock_ps_ += rules_.tck;
+    }
+
     /** Interprets slots [begin, end) once. */
     void
     walk(size_t begin, size_t end)
     {
-        size_t i = begin;
-        while (i < end) {
+        for (size_t i = begin; i < end; ++i) {
             const Instr &ins = instrs_[i];
             switch (ins.op) {
               case Opcode::Act:
                 onAct(ins, i);
                 trackAct(ins, i);
-                trackEnergy(i, cfg_.energy.eActPj);
-                ++report_.commandCount;
-                clock_ps_ += tck_ps_;
-                ++i;
+                issued(i, cfg_.energy.eActPj);
                 break;
               case Opcode::Pre:
                 onPre(ins, i);
-                trackEnergy(i, cfg_.energy.ePrePj);
-                ++report_.commandCount;
-                clock_ps_ += tck_ps_;
-                ++i;
+                issued(i, cfg_.energy.ePrePj);
                 break;
               case Opcode::Rd:
                 onRw(ins, i, "RD");
-                trackEnergy(i, cfg_.energy.eRdPj);
-                ++report_.commandCount;
-                clock_ps_ += tck_ps_;
-                ++i;
+                issued(i, cfg_.energy.eRdPj);
                 break;
               case Opcode::Wr:
                 onRw(ins, i, "WR");
-                trackEnergy(i, cfg_.energy.eWrPj);
-                ++report_.commandCount;
-                clock_ps_ += tck_ps_;
-                ++i;
+                issued(i, cfg_.energy.eWrPj);
                 break;
               case Opcode::Ref:
                 onRef(i);
-                trackEnergy(i, cfg_.energy.eRefPj);
-                ++report_.commandCount;
-                clock_ps_ += tck_ps_;
-                ++i;
+                issued(i, cfg_.energy.eRefPj);
                 break;
               case Opcode::Nop:
-                clock_ps_ += int64_t(ins.count) * tck_ps_;
-                ++i;
+                clock_ps_ += int64_t(ins.count) * rules_.tck;
                 break;
               case Opcode::SleepNs:
                 clock_ps_ += ins.ps;
-                ++i;
                 break;
               case Opcode::LoopBegin: {
                 size_t depth = 1;
@@ -510,7 +481,7 @@ class Interp
                                 iter_refs, loop_start_ps, iter_pj,
                                 acts0);
                 }
-                i = body_end + 1;
+                i = body_end;
                 break;
               }
               case Opcode::LoopEnd:
@@ -523,7 +494,7 @@ class Interp
     finishOpenAtEnd()
     {
         for (size_t b = 0; b < banks_.size(); ++b) {
-            if (banks_[b].open) {
+            if (rules_.open(uint32_t(b))) {
                 diag(Rule::OpenAtEnd, banks_[b].openSlot,
                      "bank " + std::to_string(b) + " row " +
                          std::to_string(banks_[b].openRow) +
@@ -598,13 +569,9 @@ class Interp
     Report &report_;
     Certificate *cert_;  //!< Effect analysis on when non-null.
 
-    const int64_t tck_ps_, trcd_ps_, tras_ps_, trp_ps_, trc_ps_;
-    const int64_t trrd_ps_, tfaw_ps_;
-
     int64_t clock_ps_ = 0;
+    dram::TimingRules rules_;
     std::vector<BankState> banks_;
-    int64_t last_act_any_ps_ = -1;
-    std::deque<int64_t> faw_;  //!< Issue times of the last 4 ACTs.
     std::set<std::pair<uint8_t, size_t>> seen_;
 
     /// @name Effect analysis (certify mode only).
@@ -792,8 +759,7 @@ certifyHammerLoop(const std::vector<Instr> &instrs, size_t begin,
     // per iteration is its own bank's ACT-PRE cycle (side-effect
     // regular).  Anything else — other opcodes, nested loops, a
     // second bank — falls back to slot-by-slot execution.
-    const int64_t tck_ps =
-        int64_t(std::llround(cfg.timing.tCkNs * 1000.0));
+    const int64_t tck_ps = dram::psFromNs(cfg.timing.tCkNs);
     size_t i = begin;
     if (i >= end || instrs[i].op != Opcode::Act)
         return std::nullopt;

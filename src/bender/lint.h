@@ -10,7 +10,10 @@
  * the missing pre-flight tool: an abstract interpreter that walks a
  * Program *without executing it*, tracking a symbolic integer-
  * picosecond clock and a per-bank FSM (closed / open) through loop
- * bodies, and proves the program's timing intent up front.
+ * bodies, and proves the program's timing intent up front.  The FSM
+ * and the timing rules are dram::TimingRules, the engine mc::schedule
+ * issues by; like the device, it drops an ACT to an open bank (only
+ * act-open fires) and a PRE to a precharged bank.
  *
  * Intent is expressed with Program::expectViolation(Rule): a builder
  * that means to break tRP says so, the matching diagnostics demote to

@@ -5,9 +5,8 @@
 
 #include "bender/program.h"
 
-#include <cmath>
-
 #include "bender/lint.h"
+#include "dram/timing.h"
 #include "util/log.h"
 
 namespace dramscope {
@@ -81,7 +80,7 @@ Program::sleepNs(double ns)
 {
     Instr i;
     i.op = Opcode::SleepNs;
-    i.ps = int64_t(std::llround(ns * 1000.0));
+    i.ps = dram::psFromNs(ns);
     instrs_.push_back(i);
     return *this;
 }

@@ -84,7 +84,6 @@ class EccMemory
                        std::vector<bool> *uncorrectable = nullptr);
 
     const EccStats &stats() const { return stats_; }
-    void resetStats() { stats_ = {}; }
 
   private:
     bender::Host &host_;

@@ -6,25 +6,14 @@
 #include "core/protect/mitigation.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "bender/host.h"
+#include "dram/timing.h"
 #include "util/log.h"
 
 namespace dramscope {
 namespace core {
-
-namespace {
-
-/** Exact conversion for the repo's dyadic-rational timing values. */
-int64_t
-ps(double ns)
-{
-    return int64_t(std::llround(ns * 1000.0));
-}
-
-} // namespace
 
 const std::vector<MitigationInfo> &
 mitigationTable()
@@ -355,7 +344,7 @@ RowSwapMitigation::swapOut(dram::BankId bank, dram::RowAddr row)
     // The data burst: every column read from the source and written
     // back to the target, one command slot each.
     seq.extraPs =
-        int64_t(2 * cfg_.columnsPerRow()) * ps(cfg_.timing.tCkNs);
+        int64_t(2 * cfg_.columnsPerRow()) * dram::psFromNs(cfg_.timing.tCkNs);
     pending_.push_back(std::move(seq));
     ++fired_;
 }
@@ -414,8 +403,8 @@ certifyMitigationSequences(MitigationKind kind,
         break;
     case MitigationKind::RowSwap:
         seq.rows = {row, cfg.rowsPerBank - cfg.rowsPerBank / 8};
-        seq.extraPs =
-            int64_t(2 * cfg.columnsPerRow()) * ps(cfg.timing.tCkNs);
+        seq.extraPs = int64_t(2 * cfg.columnsPerRow()) *
+                      dram::psFromNs(cfg.timing.tCkNs);
         break;
     }
     return bender::lint::certify(seq.program(cfg), cfg, opts);

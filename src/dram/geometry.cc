@@ -78,14 +78,6 @@ SubarrayMap::neighbor(RowAddr r, bool upper) const
     return r - 1;
 }
 
-bool
-SubarrayMap::aibAdjacent(RowAddr a, RowAddr b) const
-{
-    if (a > b)
-        std::swap(a, b);
-    return b == a + 1 && rowToSub_[a] == rowToSub_[b];
-}
-
 CopyRelation
 SubarrayMap::copyRelation(RowAddr src, RowAddr dst) const
 {

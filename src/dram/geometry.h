@@ -111,9 +111,6 @@ class SubarrayMap
      */
     std::optional<RowAddr> neighbor(RowAddr r, bool upper) const;
 
-    /** True when @p a and @p b are AIB-adjacent. */
-    bool aibAdjacent(RowAddr a, RowAddr b) const;
-
     /** RowCopy relation between a source and a destination row. */
     CopyRelation copyRelation(RowAddr src, RowAddr dst) const;
 

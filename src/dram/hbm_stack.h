@@ -66,16 +66,6 @@ class HbmStack
     /** The stack-level configuration template. */
     const DeviceConfig &config() const { return cfg_; }
 
-    /** Sum of activations across channels (power accounting). */
-    uint64_t
-    totalWordlinesDriven() const
-    {
-        uint64_t total = 0;
-        for (const auto &ch : channels_)
-            total += ch->stats().wordlinesDriven;
-        return total;
-    }
-
   private:
     DeviceConfig cfg_;
     std::vector<std::unique_ptr<Chip>> channels_;

@@ -13,7 +13,6 @@
 #ifndef DRAMSCOPE_DRAM_SWIZZLE_H
 #define DRAMSCOPE_DRAM_SWIZZLE_H
 
-#include <utility>
 #include <vector>
 
 #include "dram/config.h"
@@ -23,24 +22,21 @@
 namespace dramscope {
 namespace dram {
 
-/** Bidirectional map between RD_data bit positions and bitlines. */
+/** Map from RD_data bit positions to bitlines. */
 class Swizzle
 {
   public:
     /** @param cfg A validated configuration. */
     explicit Swizzle(const DeviceConfig &cfg)
-        : mats_per_row_(cfg.matsPerRow()), group_bits_(cfg.groupBits()),
-          mat_width_(cfg.matWidth), row_bits_(cfg.rowBits),
-          inv_perm_(cfg.swizzlePerm.size()), col0_bl_(cfg.rdDataBits)
+        : group_bits_(cfg.groupBits()), row_bits_(cfg.rowBits),
+          col0_bl_(cfg.rdDataBits)
     {
-        const std::vector<uint32_t> &perm = cfg.swizzlePerm;
-        for (uint32_t i = 0; i < perm.size(); ++i)
-            inv_perm_[perm[i]] = i;
         // rd_bit's MAT is rd_bit % matsPerRow and its intra-group
         // slot is permuted by the vendor swizzle.
+        const uint32_t mats = cfg.matsPerRow();
         for (uint32_t rd_bit = 0; rd_bit < col0_bl_.size(); ++rd_bit) {
-            col0_bl_[rd_bit] = rd_bit % mats_per_row_ * mat_width_ +
-                               perm[rd_bit / mats_per_row_];
+            col0_bl_[rd_bit] = rd_bit % mats * cfg.matWidth +
+                               cfg.swizzlePerm[rd_bit / mats];
         }
     }
 
@@ -57,24 +53,9 @@ class Swizzle
         return bl;
     }
 
-    /** Inverse map: bitline to (column, RD_data bit). */
-    std::pair<ColAddr, uint32_t>
-    logicalBit(BitlineIdx bl) const
-    {
-        panicIf(bl >= row_bits_, "Swizzle: bitline out of range");
-        const uint32_t mat = bl / mat_width_;
-        const uint32_t off = bl % mat_width_;
-        const ColAddr col = off / group_bits_;
-        const uint32_t intra = inv_perm_[off % group_bits_];
-        return {col, intra * mats_per_row_ + mat};
-    }
-
   private:
-    uint32_t mats_per_row_;
     uint32_t group_bits_;
-    uint32_t mat_width_;
     uint32_t row_bits_;
-    std::vector<uint32_t> inv_perm_;
     std::vector<BitlineIdx> col0_bl_;  //!< physicalBl(0, rd_bit).
 };
 

@@ -78,15 +78,6 @@ class DqTwist
         return permute(chip_data, rd_bits, inv_);
     }
 
-    /** Chip-side bit position of host-side RD_data bit @p host_bit. */
-    uint32_t
-    chipBit(uint32_t host_bit) const
-    {
-        const uint32_t beat = host_bit / lanes_;
-        const uint32_t lane = host_bit % lanes_;
-        return beat * lanes_ + perm_[lane];
-    }
-
     /** Host-side bit position of chip-side bit @p chip_bit. */
     uint32_t
     hostBit(uint32_t chip_bit) const
@@ -94,17 +85,6 @@ class DqTwist
         const uint32_t beat = chip_bit / lanes_;
         const uint32_t lane = chip_bit % lanes_;
         return beat * lanes_ + inv_[lane];
-    }
-
-    /** True when the twist is the identity. */
-    bool
-    isIdentity() const
-    {
-        for (uint32_t i = 0; i < lanes_; ++i) {
-            if (perm_[i] != i)
-                return false;
-        }
-        return true;
     }
 
   private:

@@ -51,9 +51,6 @@ class Rcd
         return chipRow(chip_row, b_side);
     }
 
-    /** True when inversion is active. */
-    bool inversionEnabled() const { return mask_ != 0; }
-
     /** The inversion mask applied to B-side rows. */
     uint32_t mask() const { return mask_; }
 

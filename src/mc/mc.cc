@@ -6,13 +6,13 @@
 #include "mc/mc.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "dram/timing.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -146,13 +146,6 @@ ScheduleStats::summary() const
 
 namespace {
 
-/** Exact ps conversion (same rounding as Host and the linter). */
-int64_t
-ps(double ns)
-{
-    return int64_t(std::llround(ns * 1000.0));
-}
-
 /** Rounds an issue time up to a whole nanosecond.  The device's
  *  timing checker works on truncated-ns timestamps; whole-ns issue
  *  times make its deltas exact, so a stream the ps-resolution linter
@@ -206,15 +199,12 @@ struct Candidate
 struct BankSched
 {
     std::deque<size_t> q;  //!< Request indices, arrival order.
-    bool open = false;
     dram::RowAddr openRow = 0;
     /** Entries q[0, hitScan) miss the open row, so q[hitScan] is the
      *  window's first hit when hitScan is inside the window.  A demand
      *  ACT resets it; serving that hit erases q[hitScan], the only
      *  change to q, so the scan resumes where it stopped. */
     size_t hitScan = 0;
-    int64_t lastActPs = -1;
-    int64_t lastPrePs = -1;
     int64_t lastUsePs = 0;        //!< Last ACT/RD/WR issue time.
     uint32_t hitsSinceAct = 0;    //!< Column commands this activation.
     bool conflictPre = false;     //!< Last close was a conflict close.
@@ -258,18 +248,10 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
     }
 
     const AddrDecoder dec(cfg);
-    const auto &tm = cfg.timing;
-    const int64_t tck = ps(tm.tCkNs);
-    const int64_t trcd = ps(tm.tRcdNs);
-    const int64_t tras = ps(tm.tRasNs);
-    const int64_t trp = ps(tm.tRpNs);
-    const int64_t trc = ps(tm.tRcNs());
-    const int64_t trrd = ps(tm.tRrdNs);
-    const int64_t tfaw = ps(tm.tFawNs);
-    const int64_t trfc = ps(tm.tRfcNs);
-    const int64_t idle = ps(opt.maxRowIdleNs);
+    dram::TimingRules rules(cfg.timing, cfg.numBanks);
+    const int64_t idle = dram::psFromNs(opt.maxRowIdleNs);
     const int64_t trefi = opt.refreshIntervalNs < 0
-                              ? ps(tm.tRefiNs)
+                              ? rules.trefi
                               : opt.refreshIntervalNs * 1000;
 
     // The active defense; nullptr for None keeps every mitigation
@@ -308,8 +290,6 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
     }
 
     int64_t clock = 0;
-    int64_t lastActAny = -1;
-    std::deque<int64_t> faw;
     int64_t nextRef = trefi > 0 ? trefi : kNever;
     // One (bank << 32 | row) key per demand ACT of this refresh window.
     std::vector<uint64_t> windowActs;
@@ -324,21 +304,13 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
         }
     };
 
-    const auto earliestAct = [&](const BankSched &b) {
-        int64_t t = std::max(clock, b.blockedUntil);
-        if (b.lastPrePs >= 0)
-            t = std::max(t, b.lastPrePs + trp);
-        if (b.lastActPs >= 0)
-            t = std::max(t, b.lastActPs + trc);
-        if (lastActAny >= 0)
-            t = std::max(t, lastActAny + trrd);
-        if (faw.size() == 4)
-            t = std::max(t, faw.front() + tfaw);
-        return t;
+    const auto earliestAct = [&](uint32_t bk) {
+        return std::max({clock, banks[bk].blockedUntil,
+                         rules.earliestAct(bk)});
     };
 
-    const auto earliestPre = [&](const BankSched &b) {
-        return std::max(clock, b.lastActPs + tras);
+    const auto earliestPre = [&](uint32_t bk) {
+        return std::max(clock, rules.earliestPre(bk));
     };
 
     /**
@@ -377,20 +349,14 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
     const auto issueAct = [&](uint32_t bk, dram::RowAddr row,
                               bool for_mit) {
         auto &b = banks[bk];
-        advanceTo(ceilNs(earliestAct(b)));
+        advanceTo(ceilNs(earliestAct(bk)));
         const dram::RowAddr phys =
             (!for_mit && mit) ? mit->resolve(dram::BankId(bk), row) : row;
         prog.act(dram::BankId(bk), phys);
-        const int64_t t = clock;
-        clock += tck;
-        b.open = true;
-        b.lastActPs = t;
-        b.lastUsePs = t;
+        rules.applyAct(bk, clock);
+        b.lastUsePs = clock;
         b.hitsSinceAct = 0;
-        lastActAny = t;
-        faw.push_back(t);
-        if (faw.size() > 4)
-            faw.pop_front();
+        clock += rules.tck;
         if (for_mit) {
             b.mitOpen = true;
             ++st.mitCmds;
@@ -410,11 +376,10 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
     const auto issuePre = [&](uint32_t bk, int64_t not_before,
                               bool conflict) {
         auto &b = banks[bk];
-        advanceTo(ceilNs(std::max(not_before, earliestPre(b))));
+        advanceTo(ceilNs(std::max(not_before, earliestPre(bk))));
         prog.pre(dram::BankId(bk));
-        b.lastPrePs = clock;
-        clock += tck;
-        b.open = false;
+        rules.applyPre(bk, clock);
+        clock += rules.tck;
         if (b.mitOpen) {
             // Closing a victim/migration cycle; once the bank's
             // sequence is drained, any data-burst cost blocks the
@@ -458,9 +423,9 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
             uint32_t best = cfg.numBanks;
             int64_t best_t = kNever;
             for (uint32_t bk = 0; bk < cfg.numBanks; ++bk) {
-                if (!banks[bk].open)
+                if (!rules.open(bk))
                     continue;
-                const int64_t t = ceilNs(earliestPre(banks[bk]));
+                const int64_t t = ceilNs(earliestPre(bk));
                 if (t < best_t) {
                     best_t = t;
                     best = bk;
@@ -508,27 +473,26 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
                 // A victim/migration row is open: close it.
                 c.action = Action::Pre;
                 c.mit = true;
-                c.t = ceilNs(earliestPre(b));
+                c.t = ceilNs(earliestPre(bk));
             } else if (!b.mitRows.empty()) {
                 // Mitigation work owns the bank until its sequence
                 // drains: force the demand row closed, then cycle the
                 // victims.
                 c.mit = true;
-                if (b.open) {
+                if (rules.open(bk)) {
                     c.action = Action::Pre;
-                    c.t = ceilNs(earliestPre(b));
+                    c.t = ceilNs(earliestPre(bk));
                 } else {
                     c.action = Action::Act;
-                    c.t = ceilNs(earliestAct(b));
+                    c.t = ceilNs(earliestAct(bk));
                 }
-            } else if (!b.open) {
+            } else if (!rules.open(bk)) {
                 if (b.q.empty())
                     continue;
                 const size_t head = b.q.front();
                 c.action = Action::Act;
                 c.req = pos[head];
-                c.t = ceilNs(
-                    std::max(earliestAct(b), arrival(head)));
+                c.t = ceilNs(std::max(earliestAct(bk), arrival(head)));
             } else {
                 // Oldest hit within the scheduler window; arrived
                 // hits are ready, future ones are prefetch targets.
@@ -545,13 +509,13 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
                 if (hit_arrived != SIZE_MAX && !cap_hit) {
                     c.action = Action::Col;
                     c.req = pos[hit_arrived];
-                    c.t = ceilNs(std::max(clock, b.lastActPs + trcd));
+                    c.t = ceilNs(std::max(clock, rules.earliestRw(bk)));
                 } else if (cap_hit && hit_any != SIZE_MAX) {
                     // Hits pending but the cap is exhausted: force a
                     // close so the re-ACT restarts the hit budget.
                     c.action = Action::Pre;
                     c.req = pos[hit_any];
-                    c.t = ceilNs(earliestPre(b));
+                    c.t = ceilNs(earliestPre(bk));
                 } else {
                     // No ready hit.  A future hit can still be worth
                     // waiting for (open/timeout/cap), the oldest
@@ -563,22 +527,21 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
                         where[b.q.front()].row != b.openRow &&
                         hit_any == SIZE_MAX) {
                         close_at = std::max(arrival(b.q.front()),
-                                            earliestPre(b));
+                                            earliestPre(bk));
                         close_req = b.q.front();
                     }
                     if (opt.policy == RowPolicy::Closed)
-                        close_at = std::min(close_at, earliestPre(b));
+                        close_at = std::min(close_at, earliestPre(bk));
                     else if (opt.policy == RowPolicy::Timeout)
                         close_at =
                             std::min(close_at,
                                      std::max(b.lastUsePs + idle,
-                                              earliestPre(b)));
+                                              earliestPre(bk)));
                     int64_t col_at = kNever;
                     if (hit_any != SIZE_MAX &&
                         opt.policy != RowPolicy::Closed) {
-                        col_at = std::max(arrival(hit_any),
-                                          std::max(clock, b.lastActPs +
-                                                              trcd));
+                        col_at = std::max(
+                            {arrival(hit_any), clock, rules.earliestRw(bk)});
                     }
                     if (col_at <= close_at && col_at != kNever) {
                         c.action = Action::Col;
@@ -607,9 +570,8 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
             drainOpenBanks();
             advanceTo(ceilNs(std::max(clock, nextRef)));
             prog.ref();
-            clock += tck;
-            prog.sleepPs(trfc);
-            clock += trfc;
+            prog.sleepPs(rules.trfc);
+            clock += rules.tck + rules.trfc;
             ++st.refs;
             nextRef += trefi;
             closeExposureWindow();
@@ -632,7 +594,7 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
                 break;
             }
             const size_t head = b.q.front();
-            advanceTo(ceilNs(std::max(earliestAct(b), arrival(head))));
+            advanceTo(ceilNs(std::max(earliestAct(best.bank), arrival(head))));
             issueAct(best.bank, where[head].row, /*for_mit=*/false);
             break;
           }
@@ -657,9 +619,8 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
             panicIf(at >= b.q.size() || pos[b.q[at]] != best.req,
                     "mc::schedule: lost hit candidate");
             const size_t r = b.q[at];
-            advanceTo(
-                ceilNs(std::max({clock, b.lastActPs + trcd,
-                                 arrival(r)})));
+            advanceTo(ceilNs(
+                std::max({clock, rules.earliestRw(best.bank), arrival(r)})));
             const auto &w = where[r];
             if (reqs[r].type == ReqType::Read) {
                 prog.rd(w.bank, w.col);
@@ -685,7 +646,7 @@ schedule(const std::vector<Request> &reqs, const dram::DeviceConfig &cfg,
             }
             ++b.hitsSinceAct;
             b.lastUsePs = clock;
-            clock += tck;
+            clock += rules.tck;
             b.q.erase(b.q.begin() + long(at));
             --pending;
             break;

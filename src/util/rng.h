@@ -47,18 +47,12 @@ class Rng
 {
   public:
     /** Constructs a generator from a 64-bit seed. */
-    explicit Rng(uint64_t seed = 0x5eedull) { reseed(seed); }
-
-    /** Re-initializes the state from @p seed. */
-    void
-    reseed(uint64_t seed)
+    explicit Rng(uint64_t seed = 0x5eedull)
     {
-        uint64_t sm = seed;
         for (auto &word : state_) {
-            sm = splitmix64(sm);
-            word = sm;
+            seed = splitmix64(seed);
+            word = seed;
         }
-        has_gauss_ = false;
     }
 
     /** Returns the next raw 64-bit output. */

@@ -126,14 +126,6 @@ class Histogram
     /** Upper bound of the sample range. */
     double hi() const { return hi_; }
 
-    /** Center value of bucket @p i. */
-    double
-    binCenter(size_t i) const
-    {
-        const double w = (hi_ - lo_) / double(counts_.size());
-        return lo_ + (double(i) + 0.5) * w;
-    }
-
   private:
     double lo_, hi_;
     std::vector<uint64_t> counts_;

@@ -133,10 +133,10 @@ TEST_F(SubarrayMapTest, NeighborsStopAtSubarrayBoundaries)
 
 TEST_F(SubarrayMapTest, AibAdjacency)
 {
-    EXPECT_TRUE(map_.aibAdjacent(10, 11));
-    EXPECT_TRUE(map_.aibAdjacent(11, 10));
-    EXPECT_FALSE(map_.aibAdjacent(47, 48));  // Across subarrays.
-    EXPECT_FALSE(map_.aibAdjacent(10, 12));
+    EXPECT_EQ(map_.neighbor(10, true), RowAddr(11));
+    EXPECT_EQ(map_.neighbor(11, false), RowAddr(10));
+    EXPECT_NE(map_.neighbor(47, true), RowAddr(48));  // Across subarrays.
+    EXPECT_NE(map_.neighbor(10, true), RowAddr(12));
 }
 
 TEST_F(SubarrayMapTest, CopyRelations)

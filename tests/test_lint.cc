@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 
@@ -15,7 +16,9 @@
 #include "bender/lint.h"
 #include "core/programs.h"
 #include "dram/chip.h"
+#include "dram/timing.h"
 #include "test_common.h"
+#include "util/rng.h"
 
 namespace dramscope {
 namespace {
@@ -172,6 +175,29 @@ TEST_F(LintTest, ActOnOpenBankIsAnError)
     EXPECT_EQ(slotsOf(report, Rule::ActOpen), std::vector<size_t>{2});
     // And the program never closes the row.
     EXPECT_TRUE(hasRule(report, Rule::OpenAtEnd));
+}
+
+TEST_F(LintTest, DroppedActRestartsNoClock)
+{
+    // The device drops the second ACT, so the RD is 47 ns after the
+    // first one: act-open is the ACT's only finding, and no tRCD.
+    Program p;
+    p.act(0, 10).sleepNs(40.0).act(0, 20).sleepNs(5.0).rd(0, 0);
+    const auto report = lint(p);
+    EXPECT_EQ(slotsOf(report, Rule::ActOpen), std::vector<size_t>{2});
+    EXPECT_FALSE(hasRule(report, Rule::TRc));
+    EXPECT_FALSE(hasRule(report, Rule::TRcd));
+}
+
+TEST_F(LintTest, PreToPrechargedBankRestartsNoClock)
+{
+    // The second PRE is a NOP: tRP runs from the first, so the ACT
+    // 17.25 ns after it is in spec.
+    const auto &t = cfg_.timing;
+    Program p;
+    p.act(0, 1).sleepNs(t.tRasNs).pre(0).sleepNs(t.tRpNs).pre(0);
+    p.sleepNs(1.0).act(0, 2).sleepNs(t.tRasNs).pre(0);
+    EXPECT_TRUE(lint(p).diags.empty());
 }
 
 TEST_F(LintTest, ActRateRulesFireAcrossBanks)
@@ -359,6 +385,120 @@ TEST(LintCatalog, AllBuiltinProgramsLintCleanOnAllPresets)
                     << cfg.name << ": " << entry.name;
             }
         }
+    }
+}
+
+/**
+ * What the linter predicts, the device records: seeded random
+ * straight-line programs over two banks mix ACT, PRE, RD, WR and REF,
+ * each issued on a whole nanosecond (the ceilNs contract mc::schedule
+ * issues by), and run step-wise on a fresh chip.  act-open, rw-closed,
+ * tras and trcd count the same.  The device keeps two differences: it
+ * flags trp only inside rowCopyMaxGapNs, and it counts ref-open once
+ * per open bank rather than once per REF.
+ */
+TEST(LintDeviceAgreement, RandomWholeNsProgramsCountTheSameViolations)
+{
+    constexpr uint64_t kPrograms = 2000;
+    constexpr int kCommands = 24;  // Far below the 1024-entry log.
+    const std::map<std::string, Rule> device_rule = {
+        {"ACT to open bank", Rule::ActOpen},
+        {"ACT within tRP (RowCopy)", Rule::TRp},
+        {"PRE within tRAS", Rule::TRas},
+        {"RD within tRCD", Rule::TRcd},
+        {"WR within tRCD", Rule::TRcd},
+        {"RD to closed bank", Rule::RwClosed},
+        {"WR to closed bank", Rule::RwClosed},
+        {"REF with open bank", Rule::RefOpen},
+    };
+    const Rule equal[] = {Rule::ActOpen, Rule::RwClosed, Rule::TRas,
+                          Rule::TRcd};
+    for (const char *preset : {"A_x8_2018", "HBM2_A"}) {
+        const auto cfg = dram::makePreset(preset);
+        const int64_t tck = dram::psFromNs(cfg.timing.tCkNs);
+        std::map<Rule, uint64_t> lint_total, device_total;
+        uint64_t failed = 0;
+        std::string first;
+        for (uint64_t seed = 0; seed < kPrograms; ++seed) {
+            Rng rng(seed);
+            Program p;
+            std::string text;
+            int64_t clock = 0;  // Both clocks start on a whole ns.
+            for (int k = 0; k < kCommands; ++k) {
+                // Up to the next whole ns, then a whole-ns wait that
+                // straddles tRCD, tRAS and tRP.
+                const int64_t wait =
+                    (1000 - clock % 1000) % 1000 +
+                    1000 * int64_t(rng.below(rng.chance(0.5) ? 8 : 48));
+                if (wait > 0) {
+                    p.sleepPs(wait);
+                    text += " sleepPs(" + std::to_string(wait) + ")";
+                }
+                clock += wait + tck;
+                const auto b = dram::BankId(rng.below(2));
+                const auto row = dram::RowAddr(100 + rng.below(8));
+                const auto col = dram::ColAddr(rng.below(4));
+                const std::string bank = std::to_string(b);
+                switch (rng.below(9)) {
+                  case 0: case 1: case 2:
+                    p.act(b, row);
+                    text += " act(" + bank + "," + std::to_string(row) + ")";
+                    break;
+                  case 3: case 4: case 5:
+                    p.pre(b);
+                    text += " pre(" + bank + ")";
+                    break;
+                  case 6:
+                    p.rd(b, col);
+                    text += " rd(" + bank + "," + std::to_string(col) + ")";
+                    break;
+                  case 7:
+                    p.wr(b, col, rng.next());
+                    text += " wr(" + bank + "," + std::to_string(col) + ")";
+                    break;
+                  default:
+                    p.ref();
+                    text += " ref()";
+                }
+            }
+
+            std::map<Rule, uint64_t> by_lint, by_device;
+            for (const auto &d : lint::lint(p, cfg).diags)
+                ++by_lint[d.rule];
+            dram::Chip chip(cfg);
+            Host host(chip);
+            host.setFastPathMode(dram::FastPathMode::Off);
+            host.run(p);
+            ASSERT_EQ(chip.violationCount(), chip.violations().size());
+            for (const auto &v : chip.violations())
+                ++by_device[device_rule.at(v.what)];
+
+            bool agree = by_device[Rule::TRp] <= by_lint[Rule::TRp] &&
+                         by_device[Rule::RefOpen] >= by_lint[Rule::RefOpen];
+            for (const Rule rule : equal)
+                agree = agree && by_device[rule] == by_lint[rule];
+            if (!agree && failed++ == 0) {
+                first = "seed " + std::to_string(seed) + ":" + text + "\n";
+                for (const auto &[rule, n] : by_lint)
+                    first += std::string(" lint ") + lint::ruleId(rule) +
+                             "=" + std::to_string(n);
+                for (const auto &[rule, n] : by_device)
+                    first += std::string(" device ") +
+                             lint::ruleId(rule) + "=" + std::to_string(n);
+            }
+            for (const auto &[rule, n] : by_lint)
+                lint_total[rule] += n;
+            for (const auto &[rule, n] : by_device)
+                device_total[rule] += n;
+        }
+        EXPECT_EQ(failed, 0u)
+            << preset << ": programs disagree; the first is " << first;
+        // The corpus reaches every compared rule on both sides.
+        for (const Rule rule : equal)
+            EXPECT_GT(device_total[rule], 0u) << preset << " "
+                                              << lint::ruleId(rule);
+        EXPECT_GT(device_total[Rule::TRp], 0u) << preset;
+        EXPECT_GT(lint_total[Rule::RefOpen], 0u) << preset;
     }
 }
 

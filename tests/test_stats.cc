@@ -40,7 +40,8 @@ TEST(Histogram, BucketsAndClamping)
     EXPECT_EQ(h.count(0), 2u);
     EXPECT_EQ(h.count(9), 2u);
     EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
+    h.add(1.0);  // Bins are one unit wide: 1.0 opens bin 1.
+    EXPECT_EQ(h.count(1), 1u);
 }
 
 TEST(Median, OddAndEven)

@@ -17,15 +17,18 @@
  */
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "bender/host.h"
@@ -83,37 +86,48 @@ struct Flags
 };
 
 /**
- * Parses a strictly unsigned decimal argument no larger than @p max
- * (the range of its destination); exits with a diagnostic on anything
- * else (a silent atoll(...)=0, or a value wrapped to 32 bits, would
- * turn a typo into a plausible-looking run).
+ * The largest --power-window-ns whose picosecond count fits the
+ * linter's int64 clock.
  */
-uint64_t
-parseU64OrExit(const std::string &arg, const char *what,
-               uint64_t max = UINT64_MAX)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(arg.c_str(), &end, 10);
-    if (arg.empty() || *end != '\0' || arg[0] == '-' || errno != 0) {
-        std::fprintf(stderr, "error: bad %s '%s' (expected an "
-                             "unsigned integer)\n",
-                     what, arg.c_str());
-        std::exit(2);
-    }
-    if (v > max) {
-        std::fprintf(stderr, "error: %s '%s' out of range (0..%llu)\n",
-                     what, arg.c_str(), (unsigned long long)max);
-        std::exit(2);
-    }
-    return uint64_t(v);
-}
+constexpr double kMaxPowerWindowNs = 9.2e15;
 
-/** parseU64OrExit() for a row address. */
-dram::RowAddr
-parseRowOrExit(const std::string &arg, const char *what)
+/**
+ * Parses the whole of @p arg as a decimal @p T no larger than @p max
+ * with std::from_chars, as core::resolveJobs and jsonl::read do: no
+ * leading whitespace, no '+', no trailing bytes, no '-' for an
+ * unsigned @p T, and a floating-point value must be finite and
+ * positive.  Exits 2 naming @p what on anything else: a silent
+ * atoll(...)=0, or a value wrapped to 32 bits, would turn a typo into
+ * a plausible-looking run.
+ */
+template <typename T>
+T
+parseOrExit(const std::string &arg, const char *what,
+            T max = std::numeric_limits<T>::max())
 {
-    return dram::RowAddr(parseU64OrExit(arg, what, UINT32_MAX));
+    constexpr bool kFloat = std::is_floating_point_v<T>;
+    T v{};
+    const char *end = arg.data() + arg.size();
+    const auto [ptr, ec] = std::from_chars(arg.data(), end, v);
+    const bool too_wide =
+        std::is_unsigned_v<T> && ec == std::errc::result_out_of_range;
+    if (ptr != end || (ec != std::errc() && !too_wide) ||
+        (kFloat && !(std::isfinite(v) && v > 0))) {
+        const char *expected = kFloat ? "a finite positive number"
+                               : std::is_signed_v<T> ? "an integer"
+                                                     : "an unsigned integer";
+        std::fprintf(stderr, "error: bad %s '%s' (expected %s)\n", what,
+                     arg.c_str(), expected);
+        std::exit(2);
+    }
+    if (too_wide || v > max) {
+        char hi[32] = {};
+        std::to_chars(hi, hi + sizeof hi - 1, max);
+        std::fprintf(stderr, "error: %s '%s' out of range (0..%s)\n", what,
+                     arg.c_str(), hi);
+        std::exit(2);
+    }
+    return v;
 }
 
 /**
@@ -132,44 +146,6 @@ checkRowsOrExit(const dram::DeviceConfig &cfg, const char *what,
                      cfg.rowsPerBank - 1 - above);
         std::exit(2);
     }
-}
-
-/**
- * Parses a strictly positive decimal floating-point argument (same
- * diagnose-and-exit contract as parseU64OrExit).
- */
-double
-parseF64OrExit(const std::string &arg, const char *what)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(arg.c_str(), &end);
-    if (arg.empty() || *end != '\0' || errno != 0 || !(v > 0.0)) {
-        std::fprintf(stderr, "error: bad %s '%s' (expected a "
-                             "positive number)\n",
-                     what, arg.c_str());
-        std::exit(2);
-    }
-    return v;
-}
-
-/**
- * Parses a strictly signed decimal argument (same contract as
- * parseU64OrExit, with a leading '-' allowed).
- */
-int64_t
-parseI64OrExit(const std::string &arg, const char *what)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(arg.c_str(), &end, 10);
-    if (arg.empty() || *end != '\0' || errno != 0) {
-        std::fprintf(stderr,
-                     "error: bad %s '%s' (expected an integer)\n",
-                     what, arg.c_str());
-        std::exit(2);
-    }
-    return int64_t(v);
 }
 
 /**
@@ -265,8 +241,7 @@ makeDevice(const dram::DeviceConfig &cfg, const Flags &flags)
                              spec.c_str());
                 std::exit(2);
             }
-            channel = uint32_t(
-                parseU64OrExit(spec.substr(4), "HBM channel", UINT32_MAX));
+            channel = parseOrExit<uint32_t>(spec.substr(4), "HBM channel");
         }
         d.hbm = std::make_unique<dram::HbmStack>(cfg);
         if (channel >= d.hbm->channelCount()) {
@@ -1078,16 +1053,15 @@ main(int argc, char **argv)
         else if (arg == "--resume")
             flags.resume = true;
         else if (arg.rfind("--jobs=", 0) == 0)
-            flags.jobs = unsigned(
-                parseU64OrExit(arg.substr(7), "--jobs", UINT32_MAX));
+            flags.jobs = parseOrExit<unsigned>(arg.substr(7), "--jobs");
         else if (arg.rfind("--seed=", 0) == 0)
-            flags.seed = parseU64OrExit(arg.substr(7), "--seed");
+            flags.seed = parseOrExit<uint64_t>(arg.substr(7), "--seed");
         else if (arg.rfind("--retries=", 0) == 0)
-            flags.retries = uint32_t(
-                parseU64OrExit(arg.substr(10), "--retries", UINT32_MAX));
+            flags.retries =
+                parseOrExit<uint32_t>(arg.substr(10), "--retries");
         else if (arg.rfind("--timeout-ms=", 0) == 0)
             flags.timeoutMs =
-                parseU64OrExit(arg.substr(13), "--timeout-ms");
+                parseOrExit<uint64_t>(arg.substr(13), "--timeout-ms");
         else if (arg.rfind("--workload=", 0) == 0)
             flags.workload = arg.substr(11);
         else if (arg.rfind("--policy=", 0) == 0)
@@ -1097,21 +1071,21 @@ main(int argc, char **argv)
         else if (arg.rfind("--dump-trace=", 0) == 0)
             flags.dumpTrace = arg.substr(13);
         else if (arg.rfind("--reqs=", 0) == 0)
-            flags.reqs = parseU64OrExit(arg.substr(7), "--reqs");
+            flags.reqs = parseOrExit<uint64_t>(arg.substr(7), "--reqs");
         else if (arg.rfind("--refresh-interval-ns=", 0) == 0)
-            flags.refreshIntervalNs =
-                parseI64OrExit(arg.substr(22), "--refresh-interval-ns");
+            flags.refreshIntervalNs = parseOrExit<int64_t>(
+                arg.substr(22), "--refresh-interval-ns");
         else if (arg == "--grid")
             flags.grid = true;
         else if (arg.rfind("--threshold=", 0) == 0)
             flags.threshold =
-                parseU64OrExit(arg.substr(12), "--threshold");
+                parseOrExit<uint64_t>(arg.substr(12), "--threshold");
         else if (arg.rfind("--power-budget-mw=", 0) == 0)
             flags.powerBudgetMw =
-                parseF64OrExit(arg.substr(18), "--power-budget-mw");
+                parseOrExit<double>(arg.substr(18), "--power-budget-mw");
         else if (arg.rfind("--power-window-ns=", 0) == 0)
-            flags.powerWindowNs =
-                parseF64OrExit(arg.substr(18), "--power-window-ns");
+            flags.powerWindowNs = parseOrExit<double>(
+                arg.substr(18), "--power-window-ns", kMaxPowerWindowNs);
         else {
             if (subcommand.empty()) {
                 std::fprintf(stderr, "error: unknown flag '%s'\n",
@@ -1156,28 +1130,30 @@ main(int argc, char **argv)
                               flags);
         if (cmd == "stats") {
             const auto row = args.size() > 2
-                                 ? parseRowOrExit(args[2], "row")
+                                 ? parseOrExit<dram::RowAddr>(args[2], "row")
                                  : dram::RowAddr(1000);
             const auto n = args.size() > 3
-                               ? parseU64OrExit(args[3], "count")
+                               ? parseOrExit<uint64_t>(args[3], "count")
                                : uint64_t(10000);
             return cmdStats(preset, row, n, flags);
         }
         if ((cmd == "hammer" || cmd == "press") && args.size() == 4) {
-            return cmdAttack(preset, parseRowOrExit(args[2], "row"),
-                             parseU64OrExit(args[3], "count"),
+            return cmdAttack(preset,
+                             parseOrExit<dram::RowAddr>(args[2], "row"),
+                             parseOrExit<uint64_t>(args[3], "count"),
                              cmd == "press", flags);
         }
         if (cmd == "rowcopy" && args.size() == 4) {
-            return cmdRowCopy(preset, parseRowOrExit(args[2], "src row"),
-                              parseRowOrExit(args[3], "dst row"), flags);
+            return cmdRowCopy(
+                preset, parseOrExit<dram::RowAddr>(args[2], "src row"),
+                parseOrExit<dram::RowAddr>(args[3], "dst row"), flags);
         }
         if (cmd == "sweep") {
             const auto shards = args.size() > 2
-                                    ? parseU64OrExit(args[2], "shards")
+                                    ? parseOrExit<uint64_t>(args[2], "shards")
                                     : uint64_t(8);
             const auto n = args.size() > 3
-                               ? parseU64OrExit(args[3], "count")
+                               ? parseOrExit<uint64_t>(args[3], "count")
                                : uint64_t(200000);
             return cmdSweep(preset, shards, n, flags);
         }
