@@ -442,13 +442,9 @@ Host::writeRowBits(dram::BankId b, dram::RowAddr row, const BitVec &bits)
     const uint32_t w = config().rdDataBits;
     fatalIf(bits.size() != size_t(config().columnsPerRow()) * w,
             "writeRowBits: size mismatch");
-    std::vector<uint64_t> cols(config().columnsPerRow(), 0);
-    for (size_t c = 0; c < cols.size(); ++c) {
-        for (uint32_t i = 0; i < w; ++i) {
-            if (bits.get(c * w + i))
-                cols[c] |= 1ULL << i;
-        }
-    }
+    std::vector<uint64_t> cols(config().columnsPerRow());
+    for (size_t c = 0; c < cols.size(); ++c)
+        cols[c] = bits.getBits(c * w, w);
     writeRow(b, row, cols);
 }
 

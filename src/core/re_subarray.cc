@@ -54,12 +54,11 @@ SubarrayMapper::probeCopy(dram::RowAddr src, dram::RowAddr dst,
 
     if (inverted_out && changed > 0) {
         // Copied bits under all-ones source data: a majority of zeros
-        // means the copy inverted the data.
-        size_t copied_ones = 0;
-        for (size_t i = 0; i < n; ++i) {
-            if (d_ones.get(i) != d_zeros.get(i) && d_ones.get(i))
-                ++copied_ones;
-        }
+        // means the copy inverted the data.  Of the changed bits,
+        // d_ones holds copied_ones ones and d_zeros the rest; bits
+        // equal in both trials add to both popcounts alike.
+        const size_t copied_ones =
+            (changed + d_ones.popcount() - d_zeros.popcount()) / 2;
         *inverted_out = copied_ones * 2 < changed;
     }
 

@@ -143,16 +143,10 @@ Chip::read(BankId b, ColAddr col, NanoTime now)
         violate("RD within tRCD", now);
     panicIf(col >= cfg_.columnsPerRow(), "RD: column out of range");
 
-    uint64_t data = 0;
     const bool invert = !bk.chargeToData(f.openRow, true);
-    const BitVec &charge = bk.chargeRef(f.openRow, now);
-    for (uint32_t i = 0; i < cfg_.rdDataBits; ++i) {
-        const BitlineIdx bl = swizzle_.physicalBl(col, i);
-        if (charge.get(bl) != invert)
-            data |= 1ULL << i;
-    }
+    const uint64_t charge = swizzle_.gather(bk.chargeRef(f.openRow, now), col);
     ++stats_.reads;
-    return data;
+    return invert ? charge ^ lowBits(cfg_.rdDataBits) : charge;
 }
 
 void
@@ -181,12 +175,8 @@ Chip::write(BankId b, ColAddr col, uint64_t data, NanoTime now)
     }
 
     const bool invert = !bk.dataToCharge(f.openRow, true);
-    BitVec &charge = bk.chargeRef(f.openRow, now);
-    for (uint32_t i = 0; i < cfg_.rdDataBits; ++i) {
-        const BitlineIdx bl = swizzle_.physicalBl(col, i);
-        const bool bit = (data >> i) & 1ULL;
-        charge.set(bl, bit != invert);
-    }
+    swizzle_.scatter(bk.chargeRef(f.openRow, now), col,
+                     invert ? ~data : data);
     ++stats_.writes;
 }
 

@@ -11,10 +11,14 @@
 #ifndef DRAMSCOPE_MAPPING_DQ_TWIST_H
 #define DRAMSCOPE_MAPPING_DQ_TWIST_H
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "dram/types.h"
+#include "util/bitperm.h"
+#include "util/bitvec.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -32,80 +36,82 @@ class DqTwist
      * routing differs per chip position.
      */
     DqTwist(dram::ChipWidth width, uint32_t chip_index)
-        : lanes_(uint32_t(width))
+        : DqTwist(width, routedLanes(uint32_t(width), chip_index))
     {
-        perm_.resize(lanes_);
-        for (uint32_t i = 0; i < lanes_; ++i)
-            perm_[i] = i;
-        if (chip_index != 0) {
-            Rng rng(hashCombine(0xd9d9ULL, chip_index));
-            for (uint32_t i = lanes_ - 1; i > 0; --i) {
-                const auto j = uint32_t(rng.below(i + 1));
-                std::swap(perm_[i], perm_[j]);
-            }
-        }
-        inv_.resize(lanes_);
-        for (uint32_t i = 0; i < lanes_; ++i)
-            inv_[perm_[i]] = i;
     }
 
     /** Explicit permutation constructor (tests). */
-    DqTwist(dram::ChipWidth width, std::vector<uint32_t> perm)
-        : lanes_(uint32_t(width)), perm_(std::move(perm))
+    DqTwist(dram::ChipWidth width, const std::vector<uint32_t> &perm)
+        : lanes_(uint32_t(width)), to_chip_(overEveryBeat(lanes_, perm)),
+          to_host_(to_chip_.inverse())
     {
-        fatalIf(perm_.size() != lanes_, "DqTwist: bad permutation size");
-        inv_.resize(lanes_);
-        std::vector<bool> seen(lanes_, false);
-        for (uint32_t i = 0; i < lanes_; ++i) {
-            fatalIf(perm_[i] >= lanes_ || seen[perm_[i]],
-                    "DqTwist: not a permutation");
-            seen[perm_[i]] = true;
-            inv_[perm_[i]] = i;
-        }
     }
 
     /** Converts host-side RD_data to the arrangement the chip sees. */
     uint64_t
     toChip(uint64_t host_data, uint32_t rd_bits) const
     {
-        return permute(host_data, rd_bits, perm_);
+        return to_chip_(host_data & lowBits(rd_bits));
     }
 
     /** Converts chip-side RD_data back to the host arrangement. */
     uint64_t
     toHost(uint64_t chip_data, uint32_t rd_bits) const
     {
-        return permute(chip_data, rd_bits, inv_);
+        return to_host_(chip_data & lowBits(rd_bits));
     }
 
     /** Host-side bit position of chip-side bit @p chip_bit. */
     uint32_t
     hostBit(uint32_t chip_bit) const
     {
-        const uint32_t beat = chip_bit / lanes_;
         const uint32_t lane = chip_bit % lanes_;
-        return beat * lanes_ + inv_[lane];
+        return chip_bit - lane +
+               uint32_t(std::countr_zero(to_host_(1ULL << lane)));
     }
 
   private:
-    uint64_t
-    permute(uint64_t data, uint32_t rd_bits,
-            const std::vector<uint32_t> &perm) const
+    /** The lane permutation of chip @p chip_index (see above). */
+    static std::vector<uint32_t>
+    routedLanes(uint32_t lanes, uint32_t chip_index)
     {
-        uint64_t out = 0;
-        for (uint32_t i = 0; i < rd_bits; ++i) {
-            if ((data >> i) & 1ULL) {
-                const uint32_t beat = i / lanes_;
-                const uint32_t lane = i % lanes_;
-                out |= 1ULL << (beat * lanes_ + perm[lane]);
+        std::vector<uint32_t> perm(lanes);
+        for (uint32_t i = 0; i < lanes; ++i)
+            perm[i] = i;
+        if (chip_index != 0) {
+            Rng rng(hashCombine(0xd9d9ULL, chip_index));
+            for (uint32_t i = lanes - 1; i > 0; --i) {
+                const auto j = uint32_t(rng.below(i + 1));
+                std::swap(perm[i], perm[j]);
             }
         }
-        return out;
+        return perm;
+    }
+
+    /**
+     * The word permutation that moves bit beat * lanes + lane to
+     * beat * lanes + perm[lane], for every beat of a 64-bit word.
+     */
+    static BitPermutation
+    overEveryBeat(uint32_t lanes, const std::vector<uint32_t> &perm)
+    {
+        fatalIf(perm.size() != lanes, "DqTwist: bad permutation size");
+        std::vector<bool> seen(lanes, false);
+        for (const uint32_t p : perm) {
+            fatalIf(p >= lanes || seen[p], "DqTwist: not a permutation");
+            seen[p] = true;
+        }
+        std::array<uint8_t, 64> dest{};
+        for (uint32_t bit = 0; bit < dest.size(); ++bit) {
+            const uint32_t lane = bit % lanes;
+            dest[bit] = uint8_t(bit - lane + perm[lane]);
+        }
+        return BitPermutation(dest);
     }
 
     uint32_t lanes_;
-    std::vector<uint32_t> perm_;
-    std::vector<uint32_t> inv_;
+    BitPermutation to_chip_;
+    BitPermutation to_host_;
 };
 
 } // namespace mapping

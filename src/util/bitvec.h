@@ -20,6 +20,13 @@
 
 namespace dramscope {
 
+/** The word with its low @p width bits (0..64) set. */
+constexpr uint64_t
+lowBits(unsigned width)
+{
+    return width >= 64 ? ~0ULL : (1ULL << width) - 1;
+}
+
 /** Fixed-size packed vector of bits with word-level helpers. */
 class BitVec
 {
@@ -36,23 +43,15 @@ class BitVec
     /**
      * Packs RD_data bursts of @p width bits each (1..64): bit i of
      * burst c lands at c * width + i; bits above @p width are
-     * ignored.  Works a word at a time.
+     * ignored.  Works a burst at a time.
      */
     static BitVec
     fromBursts(const std::vector<uint64_t> &bursts, unsigned width)
     {
         panicIf(width == 0 || width > 64, "fromBursts: bad width");
-        const uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
         BitVec out(bursts.size() * width);
-        size_t pos = 0;
-        for (const uint64_t burst : bursts) {
-            const uint64_t bits = burst & mask;
-            const size_t off = pos & 63;
-            out.words_[pos >> 6] |= bits << off;
-            if (off + width > 64)
-                out.words_[(pos >> 6) + 1] |= bits >> (64 - off);
-            pos += width;
-        }
+        for (size_t c = 0; c < bursts.size(); ++c)
+            out.setBits(c * width, width, bursts[c]);
         return out;
     }
 
@@ -80,6 +79,42 @@ class BitVec
             words_[i >> 6] |= mask;
         else
             words_[i >> 6] &= ~mask;
+    }
+
+    /**
+     * Reads the @p width bits (1..64) starting at bit @p pos as one
+     * word, bit @p pos lowest.  The field may straddle two words.
+     */
+    uint64_t
+    getBits(size_t pos, unsigned width) const
+    {
+        checkField(pos, width, "BitVec::getBits out of range");
+        const size_t wi = pos >> 6;
+        const unsigned off = pos & 63;
+        uint64_t v = words_[wi] >> off;
+        if (off + width > 64)
+            v |= words_[wi + 1] << (64 - off);
+        return v & lowBits(width);
+    }
+
+    /**
+     * Writes the low @p width bits (1..64) of @p value to the bits
+     * starting at @p pos; the bits of @p value above @p width are
+     * ignored.  The field may straddle two words.
+     */
+    void
+    setBits(size_t pos, unsigned width, uint64_t value)
+    {
+        checkField(pos, width, "BitVec::setBits out of range");
+        const uint64_t mask = lowBits(width);
+        value &= mask;
+        const size_t wi = pos >> 6;
+        const unsigned off = pos & 63;
+        words_[wi] = (words_[wi] & ~(mask << off)) | (value << off);
+        if (off + width > 64) {
+            words_[wi + 1] = (words_[wi + 1] & ~(mask >> (64 - off))) |
+                             (value >> (64 - off));
+        }
     }
 
     /** Flips bit @p i. */
@@ -201,6 +236,15 @@ class BitVec
     }
 
   private:
+    /** Panics with @p msg unless [pos, pos + width) is a 1..64-bit field. */
+    void
+    checkField(size_t pos, unsigned width, const char *msg) const
+    {
+        panicIf(width == 0 || width > 64 || width > size_ ||
+                    pos > size_ - width,
+                msg);
+    }
+
     /** Clears bits beyond size_ in the last word. */
     void
     trimTail()

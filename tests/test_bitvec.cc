@@ -148,6 +148,52 @@ TEST(BitVec, FromBurstsMatchesThePerBitLoop)
     EXPECT_TRUE(BitVec::fromBursts({}, 24).empty());
 }
 
+TEST(BitVec, FieldsMatchThePerBitLoop)
+{
+    // Every width at every offset of a 3-word vector, so fields start
+    // at each bit of a word and straddle into the next one.
+    Rng rng(13);
+    BitVec base(192);
+    for (size_t i = 0; i < base.size(); ++i)
+        base.set(i, rng.next() & 1ULL);
+    for (unsigned w = 1; w <= 64; ++w) {
+        for (size_t pos = 0; pos + w <= base.size(); ++pos) {
+            uint64_t want = 0;
+            for (unsigned i = 0; i < w; ++i)
+                want |= uint64_t(base.get(pos + i)) << i;
+            ASSERT_EQ(base.getBits(pos, w), want)
+                << "width " << w << " at " << pos;
+
+            // All 64 bits random: those above the width must not land.
+            const uint64_t value = rng.next();
+            BitVec got = base;
+            BitVec expect = base;
+            got.setBits(pos, w, value);
+            for (unsigned i = 0; i < w; ++i)
+                expect.set(pos + i, (value >> i) & 1ULL);
+            ASSERT_EQ(got, expect) << "width " << w << " at " << pos;
+        }
+    }
+}
+
+TEST(BitVecDeathTest, FieldsOutOfRange)
+{
+    BitVec v(130);
+    EXPECT_DEATH(v.getBits(67, 64), "getBits out of range");
+    EXPECT_DEATH(v.getBits(129, 2), "getBits out of range");
+    EXPECT_DEATH(v.getBits(0, 0), "getBits out of range");
+    EXPECT_DEATH(v.getBits(0, 65), "getBits out of range");
+    EXPECT_DEATH(v.getBits(~size_t(0), 2), "getBits out of range");
+    EXPECT_DEATH(v.setBits(67, 64, 0), "setBits out of range");
+    EXPECT_DEATH(v.setBits(130, 1, 1), "setBits out of range");
+    EXPECT_DEATH(v.setBits(0, 0, 1), "setBits out of range");
+    EXPECT_DEATH(BitVec(10).setBits(0, 11, 1), "setBits out of range");
+    // The last in-range fields are fine.
+    v.setBits(66, 64, ~0ULL);
+    EXPECT_EQ(v.getBits(66, 64), ~0ULL);
+    EXPECT_EQ(v.getBits(129, 1), 1u);
+}
+
 /** Random row bits written through @p dev and read back. */
 void
 expectRowBitsRoundTrip(dram::Device &dev)

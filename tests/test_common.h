@@ -10,9 +10,13 @@
 #include <cstdint>
 #include <string>
 
+#include <gtest/gtest.h>
+
 #include "bender/host.h"
 #include "bender/program.h"
+#include "dram/chip.h"
 #include "dram/config.h"
+#include "util/bitvec.h"
 #include "util/rng.h"
 
 namespace dramscope {
@@ -39,6 +43,32 @@ tinyIdentitySwizzle()
     cfg.swizzlePerm = {0, 1, 2, 3, 4, 5, 6, 7};
     cfg.validate();
     return cfg;
+}
+
+/**
+ * Expects the row bits @p bits, just written to logical row @p row of
+ * bank @p b through Host::writeRowBits, to sit as charge on their
+ * swizzled bitlines: bit i of column c at swizzle().physicalBl(c, i),
+ * inverted on an anti-cell row.
+ */
+inline void
+expectChargeOnPhysicalBitlines(dram::Chip &chip, const bender::Host &host,
+                               dram::BankId b, dram::RowAddr row,
+                               const BitVec &bits)
+{
+    const dram::DeviceConfig &cfg = chip.config();
+    const dram::RowAddr phys = chip.toPhysical(row);
+    dram::Bank &bank = chip.bank(b);
+    const BitVec &charge = bank.chargeRef(phys, host.now());
+    const uint32_t w = cfg.rdDataBits;
+    for (dram::ColAddr c = 0; c < cfg.columnsPerRow(); ++c) {
+        for (uint32_t i = 0; i < w; ++i) {
+            const bool bit = bits.get(size_t(c) * w + i);
+            ASSERT_EQ(charge.get(chip.swizzle().physicalBl(c, i)),
+                      bank.dataToCharge(phys, bit))
+                << "row " << row << " column " << c << " bit " << i;
+        }
+    }
 }
 
 /** FNV-1a, fed 64-bit words and length-prefixed strings: digests that

@@ -10,6 +10,7 @@
 #include "core/physmap.h"
 #include "dram/chip.h"
 #include "dram/geometry.h"
+#include "test_common.h"
 
 namespace dramscope {
 namespace {
@@ -110,8 +111,25 @@ TEST_P(PresetSweep, ReadWriteRoundtrip)
     BitVec bits(cfg_.rowBits);
     for (size_t i = 0; i < bits.size(); i += 5)
         bits.set(i, true);
-    host.writeRowBits(0, 1234, bits);
-    EXPECT_EQ(host.readRowBits(0, 1234), bits);
+    // Row 1234, plus the first later row of the other cell polarity
+    // where the preset has one.
+    std::vector<dram::RowAddr> rows = {1234};
+    const auto is_true = [&](dram::RowAddr r) {
+        return chip.bank(0).dataToCharge(chip.toPhysical(r), true);
+    };
+    for (dram::RowAddr r = 1235; r < cfg_.rowsPerBank; ++r) {
+        if (is_true(r) != is_true(1234)) {
+            rows.push_back(r);
+            break;
+        }
+    }
+    for (const dram::RowAddr row : rows) {
+        host.writeRowBits(0, row, bits);
+        // Read == write alone would pass a map that is wrong the same
+        // way both ways: the charge must sit on the swizzled bitlines.
+        testutil::expectChargeOnPhysicalBitlines(chip, host, 0, row, bits);
+        EXPECT_EQ(host.readRowBits(0, row), bits) << "row " << row;
+    }
 }
 
 TEST_P(PresetSweep, CoupledPartnerConsistent)

@@ -8,11 +8,16 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
+#include <vector>
 
+#include "bender/host.h"
 #include "core/physmap.h"
+#include "dram/chip.h"
 #include "dram/config.h"
 #include "dram/swizzle.h"
 #include "test_common.h"
+#include "util/rng.h"
 
 namespace dramscope {
 namespace {
@@ -63,6 +68,77 @@ TEST(Swizzle, GroupCellsAreContiguous)
     std::sort(bls.begin(), bls.end());
     for (size_t k = 1; k < bls.size(); ++k)
         EXPECT_EQ(bls[k], bls[k - 1] + 1);
+}
+
+/** Figure 7's map, one bit at a time: MAT, column group, vendor slot. */
+dram::BitlineIdx
+figure7Bl(const dram::DeviceConfig &cfg, dram::ColAddr col, uint32_t rd_bit)
+{
+    const uint32_t mats = cfg.matsPerRow();
+    return rd_bit % mats * cfg.matWidth + col * cfg.groupBits() +
+           cfg.swizzlePerm[rd_bit / mats];
+}
+
+/**
+ * 8 MATs of 192 bitlines with 3-bit fields: the fields of columns 21
+ * and 42 straddle two 64-bit words in every MAT.
+ */
+dram::DeviceConfig
+straddlingConfig()
+{
+    dram::DeviceConfig cfg = dram::makePreset("C_x4_2018");
+    cfg.name = "straddling";
+    cfg.rowBits = 1536;
+    cfg.matWidth = 192;
+    cfg.rdDataBits = 24;
+    cfg.swizzlePerm = {2, 0, 1};
+    cfg.validate();
+    return cfg;
+}
+
+TEST(Swizzle, MatchesFigure7OnEveryGeometry)
+{
+    std::vector<dram::DeviceConfig> cfgs = {straddlingConfig(),
+                                            dram::makeTinyConfig()};
+    for (const std::string &id : dram::presetIds())
+        cfgs.push_back(dram::makePreset(id));
+    for (const dram::DeviceConfig &cfg : cfgs) {
+        SCOPED_TRACE(cfg.name);
+        const dram::Swizzle swz(cfg);
+        for (uint32_t c = 0; c < cfg.columnsPerRow(); ++c) {
+            for (uint32_t i = 0; i < cfg.rdDataBits; ++i)
+                ASSERT_EQ(swz.physicalBl(c, i), figure7Bl(cfg, c, i));
+        }
+    }
+}
+
+TEST(Swizzle, BurstsStraddlingWordsLandOnTheirBitlines)
+{
+    const dram::DeviceConfig cfg = straddlingConfig();
+    dram::Chip chip(cfg);
+    bender::Host host(chip);
+    // Mfr. C alternates cell polarity per subarray: take the first
+    // true row and the first anti row.
+    std::vector<dram::RowAddr> rows;
+    for (const bool want_true : {true, false}) {
+        for (dram::RowAddr r = 0; r < cfg.rowsPerBank; ++r) {
+            if (chip.bank(0).dataToCharge(chip.toPhysical(r), true) ==
+                want_true) {
+                rows.push_back(r);
+                break;
+            }
+        }
+    }
+    ASSERT_EQ(rows.size(), 2u);
+    Rng rng(23);
+    for (const dram::RowAddr row : rows) {
+        BitVec bits(cfg.rowBits);
+        for (size_t i = 0; i < bits.size(); ++i)
+            bits.set(i, rng.next() & 1ULL);
+        host.writeRowBits(0, row, bits);
+        testutil::expectChargeOnPhysicalBitlines(chip, host, 0, row, bits);
+        EXPECT_EQ(host.readRowBits(0, row), bits) << "row " << row;
+    }
 }
 
 TEST(PhysMap, RoundtripConversions)

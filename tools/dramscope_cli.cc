@@ -86,13 +86,14 @@ struct Flags
 };
 
 /**
- * The largest --power-window-ns whose picosecond count fits the
- * linter's int64 clock.
+ * The --power-window-ns range: at least one tick of the linter's
+ * picosecond clock, and a picosecond count that fits its int64.
  */
+constexpr double kMinPowerWindowNs = 0.001;
 constexpr double kMaxPowerWindowNs = 9.2e15;
 
 /**
- * Parses the whole of @p arg as a decimal @p T no larger than @p max
+ * Parses the whole of @p arg as a decimal @p T in [@p min, @p max]
  * with std::from_chars, as core::resolveJobs and jsonl::read do: no
  * leading whitespace, no '+', no trailing bytes, no '-' for an
  * unsigned @p T, and a floating-point value must be finite and
@@ -103,7 +104,10 @@ constexpr double kMaxPowerWindowNs = 9.2e15;
 template <typename T>
 T
 parseOrExit(const std::string &arg, const char *what,
-            T max = std::numeric_limits<T>::max())
+            T max = std::numeric_limits<T>::max(),
+            T min = std::is_floating_point_v<T>
+                        ? T{}
+                        : std::numeric_limits<T>::lowest())
 {
     constexpr bool kFloat = std::is_floating_point_v<T>;
     T v{};
@@ -120,11 +124,13 @@ parseOrExit(const std::string &arg, const char *what,
                      arg.c_str(), expected);
         std::exit(2);
     }
-    if (too_wide || v > max) {
+    if (too_wide || v > max || v < min) {
+        char lo[32] = {};
         char hi[32] = {};
+        std::to_chars(lo, lo + sizeof lo - 1, min);
         std::to_chars(hi, hi + sizeof hi - 1, max);
-        std::fprintf(stderr, "error: %s '%s' out of range (0..%s)\n", what,
-                     arg.c_str(), hi);
+        std::fprintf(stderr, "error: %s '%s' out of range (%s..%s)\n", what,
+                     arg.c_str(), lo, hi);
         std::exit(2);
     }
     return v;
@@ -1084,8 +1090,9 @@ main(int argc, char **argv)
             flags.powerBudgetMw =
                 parseOrExit<double>(arg.substr(18), "--power-budget-mw");
         else if (arg.rfind("--power-window-ns=", 0) == 0)
-            flags.powerWindowNs = parseOrExit<double>(
-                arg.substr(18), "--power-window-ns", kMaxPowerWindowNs);
+            flags.powerWindowNs =
+                parseOrExit<double>(arg.substr(18), "--power-window-ns",
+                                    kMaxPowerWindowNs, kMinPowerWindowNs);
         else {
             if (subcommand.empty()) {
                 std::fprintf(stderr, "error: unknown flag '%s'\n",
