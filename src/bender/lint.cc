@@ -9,8 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <set>
@@ -19,27 +17,21 @@
 
 #include "dram/timing.h"
 #include "util/log.h"
+#include "util/registry.h"
 
 namespace dramscope {
 namespace bender {
 namespace lint {
 
-const std::vector<RuleInfo> &
+std::span<const RuleInfo>
 ruleTable()
 {
-    static const std::vector<RuleInfo> table = {
-#define X(name, id, sev, summary) \
-    {Rule::name, id, Severity::sev, summary},
+    static constexpr RuleInfo kTable[] = {
+#define X(name, id, sev, summary) {Rule::name, id, Severity::sev, summary},
         DRAMSCOPE_LINT_RULES(X)
 #undef X
     };
-    return table;
-}
-
-size_t
-ruleCount()
-{
-    return ruleTable().size();
+    return kTable;
 }
 
 const RuleInfo &
@@ -85,18 +77,22 @@ Report::count(Severity sev) const
     return n;
 }
 
+std::span<const ModeInfo>
+modeTable()
+{
+    static constexpr ModeInfo kTable[] = {
+#define X(name, id, summary) {Mode::name, id},
+        DRAMSCOPE_LINT_MODES(X)
+#undef X
+    };
+    return kTable;
+}
+
 Mode
 modeFromEnv()
 {
-    const char *env = std::getenv("DRAMSCOPE_LINT");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "off") == 0)
-        return Mode::Off;
-    if (std::strcmp(env, "warn") == 0)
-        return Mode::Warn;
-    if (std::strcmp(env, "error") == 0)
-        return Mode::Error;
-    fatal(std::string("DRAMSCOPE_LINT='") + env +
-          "' is not a lint mode (off|warn|error)");
+    return registry::fromEnv("DRAMSCOPE_LINT", modeTable(), "lint mode",
+                             Mode::Off);
 }
 
 namespace {
@@ -555,9 +551,10 @@ class Interp
         if (c.peakWindowPowerMw > c.powerBudgetMw) {
             char buf[160];
             std::snprintf(buf, sizeof buf,
-                          "peak rolling-window power %.2f mW over %.0f ns "
+                          "peak rolling-window power %.2f mW over %s ns "
                           "exceeds the %.2f mW budget",
-                          c.peakWindowPowerMw, c.powerWindowNs,
+                          c.peakWindowPowerMw,
+                          dram::nsText(c.powerWindowNs).c_str(),
                           c.powerBudgetMw);
             diag(Rule::PowerWindow, peak_slot_, buf);
         }
@@ -721,13 +718,13 @@ Certificate::summary() const
         buf, sizeof buf,
         "exposure: max %llu ACTs/row/window (bank %u row %u, %s, "
         "threshold %llu); energy: %.1f pJ commands + %.1f pJ "
-        "background; power: avg %.2f mW, peak %.2f mW over %.0f ns "
+        "background; power: avg %.2f mW, peak %.2f mW over %s ns "
         "(budget %.2f mW)",
         (unsigned long long)maxRowActs, unsigned(hottestBank),
         unsigned(hottestRow), exact ? "exact" : "upper bound",
         (unsigned long long)exposureThreshold, commandEnergyPj,
         backgroundEnergyPj, avgPowerMw, peakWindowPowerMw,
-        powerWindowNs, powerBudgetMw);
+        dram::nsText(powerWindowNs).c_str(), powerBudgetMw);
     return buf;
 }
 

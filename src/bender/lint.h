@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,9 +112,6 @@ enum class Rule : uint8_t
 #undef X
 };
 
-/** Number of distinct rules. */
-size_t ruleCount();
-
 /** Static description of one rule. */
 struct RuleInfo
 {
@@ -124,7 +122,7 @@ struct RuleInfo
 };
 
 /** The full registry, indexed by Rule enumerator order. */
-const std::vector<RuleInfo> &ruleTable();
+std::span<const RuleInfo> ruleTable();
 
 /** Registry entry for @p rule. */
 const RuleInfo &ruleInfo(Rule rule);
@@ -297,19 +295,37 @@ struct Certificate
 Certificate certify(const Program &prog, const dram::DeviceConfig &cfg,
                     const CertifyOptions &opts = {});
 
-/** Pre-flight modes of bender::Host (env DRAMSCOPE_LINT). */
+/**
+ * Pre-flight mode registry of bender::Host (env DRAMSCOPE_LINT):
+ * X(Enumerator, "keyword", "summary").
+ */
+#define DRAMSCOPE_LINT_MODES(X)                                             \
+    X(Off, "off", "no pre-flight (the default)")                            \
+    X(Warn, "warn", "lint every run(); log unexpected errors")              \
+    X(Error, "error", "lint every run(); fatal() on unexpected errors")
+
+/** Pre-flight modes of bender::Host. */
 enum class Mode : uint8_t
 {
-    Off,    //!< No pre-flight (default).
-    Warn,   //!< Lint every run(); log unexpected findings.
-    Error,  //!< Lint every run(); fatal() on unexpected errors.
+#define X(name, id, summary) name,
+    DRAMSCOPE_LINT_MODES(X)
+#undef X
 };
 
+/** Static description of one pre-flight mode. */
+struct ModeInfo
+{
+    Mode mode;
+    const char *id;  //!< The DRAMSCOPE_LINT keyword.
+};
+
+/** The mode registry, indexed by Mode enumerator order. */
+std::span<const ModeInfo> modeTable();
+
 /**
- * Reads DRAMSCOPE_LINT from the environment: "off" / "warn" / "error"
- * select the pre-flight mode, and unset or empty is Off.  Any other
- * value is a fatal() user error, so a misspelt mode cannot silently
- * disable the gate.
+ * Reads DRAMSCOPE_LINT from the environment: a mode keyword selects
+ * that mode, and unset or empty is Off.  Any other value is a fatal()
+ * user error, so a misspelt mode cannot silently disable the gate.
  */
 Mode modeFromEnv();
 

@@ -15,8 +15,22 @@
 namespace dramscope {
 namespace core {
 
-std::vector<NamedProgram>
-builtinPrograms(const dram::DeviceConfig &cfg)
+std::span<const ProgramInfo>
+programTable()
+{
+    static constexpr ProgramInfo kTable[] = {
+#define X(name, id, origin) {CatalogProgram::name, id, origin},
+        DRAMSCOPE_CATALOG_PROGRAMS(X)
+#undef X
+    };
+    return kTable;
+}
+
+namespace {
+
+/** Builds the commands of catalog program @p program for @p cfg. */
+bender::Program
+buildProgram(const dram::DeviceConfig &cfg, CatalogProgram program)
 {
     using bender::Host;
     const dram::BankId b = 0;
@@ -26,40 +40,6 @@ builtinPrograms(const dram::DeviceConfig &cfg)
     const auto row = std::min<dram::RowAddr>(1024, cfg.rowsPerBank / 2);
     const auto dst = row + 1;
 
-    std::vector<NamedProgram> catalog;
-    catalog.push_back({"write-row", "host",
-                       Host::makeWriteRowProgram(
-                           cfg, b, row,
-                           std::vector<uint64_t>(cfg.columnsPerRow(),
-                                                 ~0ULL))});
-    catalog.push_back(
-        {"read-row", "host", Host::makeReadRowProgram(cfg, b, row)});
-    catalog.push_back({"write-columns", "host",
-                       Host::makeWriteColumnsProgram(cfg, b, row, {0, 1},
-                                                     ~0ULL)});
-    catalog.push_back({"read-columns", "host",
-                       Host::makeReadColumnsProgram(cfg, b, row, {0, 1})});
-    // Paper attack parameters (SS V): 300K x 35ns hammer, 8K x 7.8us
-    // press; the RE layers reuse the same kernel at higher counts.
-    // All three exceed the weakest-cell disturbance threshold inside
-    // one refresh window *by design* — that is the attack — so they
-    // declare it, and the static certifier treats them as intended.
-    catalog.push_back(
-        {"hammer", "charact",
-         Host::makeHammerProgram(cfg, b, row, 300000, 35.0)
-             .expectViolation(bender::lint::Rule::ExposureBound)});
-    catalog.push_back(
-        {"press", "charact",
-         Host::makeHammerProgram(cfg, b, row, 8192, 7800.0)
-             .expectViolation(bender::lint::Rule::ExposureBound)});
-    catalog.push_back(
-        {"hammer-re", "re_adjacency",
-         Host::makeHammerProgram(cfg, b, row, 600000, 35.0)
-             .expectViolation(bender::lint::Rule::ExposureBound)});
-    catalog.push_back({"rowcopy", "re_subarray",
-                       Host::makeRowCopyProgram(cfg, b, row, dst)});
-    catalog.push_back(
-        {"refresh", "host", Host::makeRefreshProgram(cfg)});
     // One exemplar command sequence per mitigation: the MC-side
     // victim refresh Graphene fires (+-1 logical neighbours), the
     // exact victim-refresh burst RFM is priced at on a hottest-table
@@ -73,30 +53,61 @@ builtinPrograms(const dram::DeviceConfig &cfg)
         seq.rows = std::move(rows);
         return seq.program(cfg);
     };
-    catalog.push_back(
-        {"mitigate", "protect/tracker",
-         sequence(MitigationKind::Graphene, victimRows(cfg, row, false))});
-    catalog.push_back(
-        {"rfm-mitigate", "protect/mitigation",
-         sequence(MitigationKind::Rfm, victimRows(cfg, row, true))});
-    catalog.push_back({"rowswap-migrate", "protect/mitigation",
-                       sequence(MitigationKind::RowSwap, {row, dst})});
-    return catalog;
+    switch (program) {
+      case CatalogProgram::WriteRow:
+        return Host::makeWriteRowProgram(
+            cfg, b, row, std::vector<uint64_t>(cfg.columnsPerRow(), ~0ULL));
+      case CatalogProgram::ReadRow:
+        return Host::makeReadRowProgram(cfg, b, row);
+      case CatalogProgram::WriteColumns:
+        return Host::makeWriteColumnsProgram(cfg, b, row, {0, 1}, ~0ULL);
+      case CatalogProgram::ReadColumns:
+        return Host::makeReadColumnsProgram(cfg, b, row, {0, 1});
+      // Paper attack parameters (SS V): 300K x 35ns hammer, 8K x 7.8us
+      // press; the RE layers reuse the same kernel at higher counts.
+      // All three exceed the weakest-cell disturbance threshold inside
+      // one refresh window *by design* — that is the attack — so they
+      // declare it, and the static certifier treats them as intended.
+      case CatalogProgram::Hammer:
+        return Host::makeHammerProgram(cfg, b, row, 300000, 35.0)
+            .expectViolation(bender::lint::Rule::ExposureBound);
+      case CatalogProgram::Press:
+        return Host::makeHammerProgram(cfg, b, row, 8192, 7800.0)
+            .expectViolation(bender::lint::Rule::ExposureBound);
+      case CatalogProgram::HammerRe:
+        return Host::makeHammerProgram(cfg, b, row, 600000, 35.0)
+            .expectViolation(bender::lint::Rule::ExposureBound);
+      case CatalogProgram::RowCopy:
+        return Host::makeRowCopyProgram(cfg, b, row, dst);
+      case CatalogProgram::Refresh:
+        return Host::makeRefreshProgram(cfg);
+      case CatalogProgram::Mitigate:
+        return sequence(MitigationKind::Graphene,
+                        victimRows(cfg, row, false));
+      case CatalogProgram::RfmMitigate:
+        return sequence(MitigationKind::Rfm, victimRows(cfg, row, true));
+      case CatalogProgram::RowSwapMigrate:
+        return sequence(MitigationKind::RowSwap, {row, dst});
+    }
+    panic("builtinProgram: catalog program out of range");
 }
 
+} // namespace
+
 NamedProgram
-builtinProgram(const dram::DeviceConfig &cfg, const std::string &name)
+builtinProgram(const dram::DeviceConfig &cfg, CatalogProgram program)
 {
-    auto catalog = builtinPrograms(cfg);
-    for (auto &entry : catalog) {
-        if (entry.name == name)
-            return std::move(entry);
-    }
-    std::string known;
-    for (const auto &entry : catalog)
-        known += (known.empty() ? "" : ", ") + entry.name;
-    fatal("builtinProgram: unknown program '" + name + "' (known: " +
-          known + ")");
+    const ProgramInfo &info = programTable()[size_t(program)];
+    return {info.id, info.origin, buildProgram(cfg, program)};
+}
+
+std::vector<NamedProgram>
+builtinPrograms(const dram::DeviceConfig &cfg)
+{
+    std::vector<NamedProgram> catalog;
+    for (const auto &info : programTable())
+        catalog.push_back(builtinProgram(cfg, info.program));
+    return catalog;
 }
 
 } // namespace core

@@ -10,12 +10,14 @@
  * entry, tests assert the exact expected-violation annotations
  * (RowCopy flags tRP/tRC, hammer passes with none), and a new
  * program builder added anywhere in the stack gets pre-flight
- * coverage by adding one line here.
+ * coverage by adding one registry row and one case here.
  */
 
 #ifndef DRAMSCOPE_CORE_PROGRAMS_H
 #define DRAMSCOPE_CORE_PROGRAMS_H
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,43 @@
 
 namespace dramscope {
 namespace core {
+
+/**
+ * The catalog registry: X(Enumerator, "name", "origin"), in catalog
+ * order; the origin is the layer that sends the program.
+ */
+#define DRAMSCOPE_CATALOG_PROGRAMS(X)                                       \
+    X(WriteRow, "write-row", "host")                                        \
+    X(ReadRow, "read-row", "host")                                          \
+    X(WriteColumns, "write-columns", "host")                                \
+    X(ReadColumns, "read-columns", "host")                                  \
+    X(Hammer, "hammer", "charact")                                          \
+    X(Press, "press", "charact")                                            \
+    X(HammerRe, "hammer-re", "re_adjacency")                                \
+    X(RowCopy, "rowcopy", "re_subarray")                                    \
+    X(Refresh, "refresh", "host")                                           \
+    X(Mitigate, "mitigate", "protect/tracker")                              \
+    X(RfmMitigate, "rfm-mitigate", "protect/mitigation")                    \
+    X(RowSwapMigrate, "rowswap-migrate", "protect/mitigation")
+
+/** Catalog program ids. */
+enum class CatalogProgram : uint8_t
+{
+#define X(name, id, origin) name,
+    DRAMSCOPE_CATALOG_PROGRAMS(X)
+#undef X
+};
+
+/** Static description of one catalog program. */
+struct ProgramInfo
+{
+    CatalogProgram program;
+    const char *id;      //!< Stable name, e.g. "rowcopy".
+    const char *origin;  //!< Layer that sends it, e.g. "re_subarray".
+};
+
+/** The catalog registry, indexed by CatalogProgram enumerator order. */
+std::span<const ProgramInfo> programTable();
 
 /** One catalog entry. */
 struct NamedProgram
@@ -34,18 +73,15 @@ struct NamedProgram
 };
 
 /**
- * Builds every built-in program for @p cfg with paper-default
+ * Builds catalog program @p program for @p cfg with its paper-default
  * parameters (300K x 35ns hammer, 8K x 7.8us press, ...), addressed
  * to rows that exist in @p cfg.
  */
-std::vector<NamedProgram> builtinPrograms(const dram::DeviceConfig &cfg);
-
-/**
- * Catalog entry named @p name; fatal()s on an unknown name (the
- * valid names are listed in the message).
- */
 NamedProgram builtinProgram(const dram::DeviceConfig &cfg,
-                            const std::string &name);
+                            CatalogProgram program);
+
+/** Builds every catalog program for @p cfg, in registry order. */
+std::vector<NamedProgram> builtinPrograms(const dram::DeviceConfig &cfg);
 
 } // namespace core
 } // namespace dramscope

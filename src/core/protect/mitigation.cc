@@ -15,37 +15,22 @@
 namespace dramscope {
 namespace core {
 
-const std::vector<MitigationInfo> &
+std::span<const MitigationInfo>
 mitigationTable()
 {
-    static const std::vector<MitigationInfo> table = {
+    static constexpr MitigationInfo kTable[] = {
 #define X(name, id, knobs, summary)                                         \
     {MitigationKind::name, id, knobs, summary},
         DRAMSCOPE_MITIGATIONS(X)
 #undef X
     };
-    return table;
-}
-
-const MitigationInfo &
-mitigationInfo(MitigationKind kind)
-{
-    return mitigationTable()[size_t(kind)];
+    return kTable;
 }
 
 const char *
 mitigationId(MitigationKind kind)
 {
-    return mitigationInfo(kind).id;
-}
-
-std::optional<MitigationKind>
-mitigationFromString(const std::string &id)
-{
-    for (const auto &info : mitigationTable())
-        if (id == info.id)
-            return info.kind;
-    return std::nullopt;
+    return mitigationTable()[size_t(kind)].id;
 }
 
 bender::Program

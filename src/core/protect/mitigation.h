@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,16 +85,10 @@ struct MitigationInfo
 };
 
 /** The full registry, indexed by MitigationKind enumerator order. */
-const std::vector<MitigationInfo> &mitigationTable();
-
-/** Registry entry for @p kind. */
-const MitigationInfo &mitigationInfo(MitigationKind kind);
+std::span<const MitigationInfo> mitigationTable();
 
 /** Stable keyword of @p kind ("none", "graphene", ...). */
 const char *mitigationId(MitigationKind kind);
-
-/** Parses a mitigation keyword; nullopt on an unknown one. */
-std::optional<MitigationKind> mitigationFromString(const std::string &id);
 
 /** Row-swap knobs (RRS/ScaleSRS style, SS VI-A). */
 struct RowSwapOptions

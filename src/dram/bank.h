@@ -64,8 +64,6 @@ struct RowState
 /** Counters exposed for tests and the power side-channel analysis. */
 struct BankStats
 {
-    uint64_t activations = 0;        //!< ACT commands accepted.
-    uint64_t wordlinesDriven = 0;    //!< Physical WLs driven (O3/O5).
     uint64_t rowCopyEvents = 0;      //!< Charge-share copies triggered.
     uint64_t disturbFlips = 0;       //!< Cells flipped by AIB.
     uint64_t retentionFlips = 0;     //!< Cells flipped by leakage.

@@ -307,14 +307,6 @@ Chip::actMany(const ActTrain &t)
     stats_.wordlinesDriven += per_act * t.count;
 }
 
-RowAddr
-Chip::openPhysicalRow(BankId b) const
-{
-    const BankFsm &f = fsm_.at(b);
-    panicIf(f.state != BankState::Open, "openPhysicalRow: bank closed");
-    return f.openRow;
-}
-
 uint32_t
 Chip::refreshAggressorNeighbors(BankId b, RowAddr logical_row,
                                 NanoTime now)

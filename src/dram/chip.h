@@ -95,9 +95,6 @@ class Chip final : public Device
     uint32_t refreshAggressorNeighbors(BankId b, RowAddr logical_row,
                                        NanoTime now) override;
 
-    /** Open physical row of bank @p b (panics when closed). */
-    RowAddr openPhysicalRow(BankId b) const;
-
     /** Logical to physical row translation (internal remap). */
     RowAddr toPhysical(RowAddr logical_row) const;
 

@@ -161,11 +161,21 @@ struct DeviceConfig
     void validate() const;
 };
 
-/** Table I population entry: a distinct (vendor, width, year) group. */
+/**
+ * Table I population entry: a distinct (vendor, width, year) group,
+ * with the Table III structure its configuration is built from.
+ */
 struct PresetInfo
 {
     std::string id;     //!< Stable identifier, e.g. "A_x4_2016".
     int chipCount;      //!< Chips of this group tested in the paper.
+    DramType type;
+    Vendor vendor;
+    ChipWidth width;
+    int year;           //!< 0 where Table I gives none (HBM2).
+    const std::vector<SubarrayPatternEntry> *pattern;  //!< Subarrays.
+    uint32_t edgeSectionRows;
+    bool coupled;       //!< Coupled rows rowsPerBank / 2 apart.
 };
 
 /** Returns the full tested population of the paper (Table I). */
@@ -173,7 +183,7 @@ const std::vector<PresetInfo> &presetTable();
 
 /**
  * Builds the device configuration for a preset id from presetTable().
- * fatal()s on unknown ids.
+ * fatal()s on unknown ids, naming the known ones.
  */
 DeviceConfig makePreset(const std::string &id);
 

@@ -18,7 +18,7 @@
 #ifndef DRAMSCOPE_DRAM_DEVICE_H
 #define DRAMSCOPE_DRAM_DEVICE_H
 
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,11 +54,18 @@ enum class FastPathMode : uint8_t
 #undef X
 };
 
+/** Static description of one fast-forward mode. */
+struct FastPathModeInfo
+{
+    FastPathMode mode;
+    const char *id;  //!< The DRAMSCOPE_FASTPATH keyword.
+};
+
+/** The mode registry, indexed by FastPathMode enumerator order. */
+std::span<const FastPathModeInfo> fastPathModeTable();
+
 /** The spec keyword of a mode ("off", "exact"). */
 const char *toString(FastPathMode mode);
-
-/** Parses a mode keyword; nullopt on an unknown string. */
-std::optional<FastPathMode> fastPathModeFromString(const std::string &s);
 
 /**
  * Mode selected by the DRAMSCOPE_FASTPATH environment variable, read

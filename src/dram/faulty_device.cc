@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/registry.h"
 #include "util/rng.h"
 
 namespace dramscope {
@@ -99,6 +100,33 @@ FaultSpec::toString() const
     return out;
 }
 
+std::span<const FaultClauseInfo>
+faultClauseTable()
+{
+    static constexpr FaultClauseInfo kTable[] = {
+#define X(name, id, syntax, summary) {FaultClause::name, id, syntax},
+        DRAMSCOPE_FAULT_CLAUSES(X)
+#undef X
+    };
+    return kTable;
+}
+
+namespace {
+
+/**
+ * The literal head of a clause: its syntax up to the first
+ * placeholder, which is the first upper-case letter ("die:cmd=").
+ */
+std::string_view
+clauseHead(const FaultClauseInfo &info)
+{
+    const std::string_view syntax = info.syntax;
+    return syntax.substr(0,
+                         syntax.find_first_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ"));
+}
+
+} // namespace
+
 std::optional<FaultSpec>
 FaultSpec::parse(const std::string &spec, std::string *error)
 {
@@ -113,9 +141,21 @@ FaultSpec::parse(const std::string &spec, std::string *error)
         if (clause.empty())
             return parseFail(error, "empty fault clause");
 
-        const char *p = clause.c_str();
-        if (clause.rfind("stuck@", 0) == 0) {
-            p += 6;
+        // The keyword is the clause's leading run of lowercase letters.
+        const auto *info = registry::find(
+            faultClauseTable(),
+            std::string_view(clause).substr(
+                0, clause.find_first_not_of("abcdefghijklmnopqrstuvwxyz")));
+        if (!info || !clause.starts_with(clauseHead(*info))) {
+            return parseFail(error,
+                             "unknown fault clause '" + clause + "' (" +
+                                 registry::join(faultClauseTable(),
+                                                clauseHead) +
+                                 ")");
+        }
+        const char *p = clause.c_str() + clauseHead(*info).size();
+        switch (info->clause) {
+          case FaultClause::Stuck: {
             StuckCell cell;
             uint64_t bank = 0, row = 0, col = 0, bit = 0, value = 0;
             if (!parseU64(p, bank, 0xFFFF) || *p++ != '.' ||
@@ -133,32 +173,30 @@ FaultSpec::parse(const std::string &spec, std::string *error)
             cell.bit = uint32_t(bit);
             cell.value = value != 0;
             out.stuck.push_back(cell);
-        } else if (clause.rfind("flip:", 0) == 0) {
-            p += 5;
+            break;
+          }
+          case FaultClause::Flip:
             if (!parseRate(p, out.flipRate) || *p != '\0')
                 return parseFail(error, "bad flip rate in '" + clause +
                                             "' (flip:RATE in [0,1])");
-        } else if (clause.rfind("drop:", 0) == 0) {
-            p += 5;
+            break;
+          case FaultClause::Drop:
             if (!parseRate(p, out.dropRate) || *p != '\0')
                 return parseFail(error, "bad drop rate in '" + clause +
                                             "' (drop:RATE in [0,1])");
-        } else if (clause.rfind("die:cmd=", 0) == 0) {
-            p += 8;
+            break;
+          case FaultClause::Die:
             if (!parseU64(p, out.dieAfterCommands) || *p != '\0' ||
                 out.dieAfterCommands == 0) {
                 return parseFail(error, "bad die clause '" + clause +
                                             "' (die:cmd=N, N > 0)");
             }
-        } else if (clause.rfind("seed:", 0) == 0) {
-            p += 5;
+            break;
+          case FaultClause::Seed:
             if (!parseU64(p, out.seed) || *p != '\0')
                 return parseFail(error,
                                  "bad seed in '" + clause + "'");
-        } else {
-            return parseFail(error,
-                             "unknown fault clause '" + clause +
-                                 "' (stuck@|flip:|drop:|die:cmd=|seed:)");
+            break;
         }
     }
     return out;

@@ -23,18 +23,9 @@
  * does not re-drop forever).  The hard-death counter is lifetime
  * (never rebased): a dead device stays dead.
  *
- * Fault grammar (one comma-separated spec string, shared by the CLI
- * `--faults=` flag, tests, and docs/RESILIENCE.md — the clause
- * registry below is machine-checked against the docs):
- *
- *   stuck@B.R.C.BIT=V   cell (bank B, row R, col C, RD bit BIT)
- *                       always reads V (0 or 1)
- *   flip:RATE           each read bit flips with probability RATE
- *   drop:RATE           each command errors with probability RATE
- *                       (throws TransientFaultError)
- *   die:cmd=N           device dies after N commands; every later
- *                       command throws DeviceDeadError
- *   seed:S              base seed of the fault streams (default 1)
+ * Fault grammar: one comma-separated spec string of the clauses in
+ * DRAMSCOPE_FAULT_CLAUSES below, shared by the CLI `--faults=` flag,
+ * the tests and docs/RESILIENCE.md.
  *
  * Example: "stuck@0.100.3.7=1,flip:1e-6,die:cmd=50000"
  */
@@ -44,6 +35,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -55,21 +47,44 @@ namespace dramscope {
 namespace dram {
 
 /**
- * Clause registry of the fault grammar: X(Enumerator, keyword,
- * summary).  docs/RESILIENCE.md documents exactly these keywords, in
- * this order — tools/check_docs.py fails CI on drift.
+ * Clause registry of the fault grammar: X(Enumerator, "keyword",
+ * "syntax", "summary").  A clause starts with its keyword, and then
+ * with its syntax up to the first placeholder ("die:cmd=" for
+ * "die:cmd=N"); FaultSpec::parse dispatches through this table.
+ * docs/RESILIENCE.md documents exactly these keywords and syntaxes,
+ * in this order — tools/check_docs.py fails CI on drift.
  */
 #define DRAMSCOPE_FAULT_CLAUSES(X)                                      \
-    X(Stuck, "stuck",                                                   \
-      "stuck@B.R.C.BIT=V: the cell always reads V")                     \
-    X(Flip, "flip",                                                     \
-      "flip:RATE: each read bit flips with probability RATE")           \
-    X(Drop, "drop",                                                     \
-      "drop:RATE: each command errors with probability RATE")           \
-    X(Die, "die",                                                       \
-      "die:cmd=N: hard device death after N commands")                  \
-    X(Seed, "seed",                                                     \
-      "seed:S: base seed of the fault streams")
+    X(Stuck, "stuck", "stuck@B.R.C.BIT=V",                              \
+      "the cell (bank B, row R, col C, RD bit BIT) always reads V")     \
+    X(Flip, "flip", "flip:RATE",                                        \
+      "each read bit flips with probability RATE")                      \
+    X(Drop, "drop", "drop:RATE",                                        \
+      "each command throws TransientFaultError with probability RATE")  \
+    X(Die, "die", "die:cmd=N",                                          \
+      "the device dies after N commands; every later command throws "   \
+      "DeviceDeadError")                                                \
+    X(Seed, "seed", "seed:S",                                           \
+      "base seed of the fault streams (default 1)")
+
+/** Fault clause kinds. */
+enum class FaultClause : uint8_t
+{
+#define X(name, id, syntax, summary) name,
+    DRAMSCOPE_FAULT_CLAUSES(X)
+#undef X
+};
+
+/** Static description of one fault clause. */
+struct FaultClauseInfo
+{
+    FaultClause clause;
+    const char *id;      //!< The clause keyword ("stuck", "die", ...).
+    const char *syntax;  //!< Its syntax ("die:cmd=N"; docs table).
+};
+
+/** The clause registry, indexed by FaultClause enumerator order. */
+std::span<const FaultClauseInfo> faultClauseTable();
 
 /** Base class of every injected-fault error. */
 class FaultError : public std::runtime_error

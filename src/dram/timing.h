@@ -19,7 +19,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "dram/config.h"
@@ -33,6 +35,21 @@ inline int64_t
 psFromNs(double ns)
 {
     return int64_t(std::llround(ns * 1000.0));
+}
+
+/** @p ns rounded by psFromNs, as text: a whole number of nanoseconds
+ *  without a fraction ("200"), any other value to the picosecond
+ *  ("2.500"). */
+inline std::string
+nsText(double ns)
+{
+    const int64_t ps = psFromNs(ns);
+    char buf[32];
+    if (ps % 1000 == 0)
+        std::snprintf(buf, sizeof buf, "%lld", (long long)(ps / 1000));
+    else
+        std::snprintf(buf, sizeof buf, "%.3f", double(ps) / 1000.0);
+    return buf;
 }
 
 /** TimingParams in picoseconds plus the rank's command-timing state. */

@@ -156,17 +156,6 @@ Dimm::refreshAggressorNeighbors(dram::BankId b, dram::RowAddr host_row,
     return restored;
 }
 
-std::vector<uint64_t>
-Dimm::readChips(dram::BankId b, dram::ColAddr col, dram::NanoTime now)
-{
-    std::vector<uint64_t> out(chipCount());
-    for (uint32_t c = 0; c < chipCount(); ++c) {
-        const uint64_t chip_data = chips_[c]->read(b, col, now);
-        out[c] = twists_[c].toHost(chip_data, cfg_.rdDataBits);
-    }
-    return out;
-}
-
 void
 Dimm::writeChips(dram::BankId b, dram::ColAddr col,
                  const std::vector<uint64_t> &host_data,

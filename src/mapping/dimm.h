@@ -102,13 +102,6 @@ class Dimm final : public dram::Device
 
     /// @}
 
-    /**
-     * Reads the host-visible RD_data of every chip at one
-     * chip-relative column (DQ twist applied).  Indexed by chip.
-     */
-    std::vector<uint64_t> readChips(dram::BankId b, dram::ColAddr col,
-                                    dram::NanoTime now);
-
     /** Writes per-chip host-visible RD_data (DQ twist applied). */
     void writeChips(dram::BankId b, dram::ColAddr col,
                     const std::vector<uint64_t> &host_data,

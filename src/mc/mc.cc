@@ -19,37 +19,21 @@
 namespace dramscope {
 namespace mc {
 
-const std::vector<PolicyInfo> &
+std::span<const PolicyInfo>
 policyTable()
 {
-    static const std::vector<PolicyInfo> table = {
+    static constexpr PolicyInfo kTable[] = {
 #define X(name, id, knobs, summary) {RowPolicy::name, id, knobs, summary},
         DRAMSCOPE_MC_POLICIES(X)
 #undef X
     };
-    return table;
-}
-
-const PolicyInfo &
-policyInfo(RowPolicy policy)
-{
-    return policyTable().at(size_t(policy));
+    return kTable;
 }
 
 const char *
 policyId(RowPolicy policy)
 {
-    return policyInfo(policy).id;
-}
-
-std::optional<RowPolicy>
-policyFromString(const std::string &id)
-{
-    for (const auto &info : policyTable()) {
-        if (id == info.id)
-            return info.policy;
-    }
-    return std::nullopt;
+    return policyTable()[size_t(policy)].id;
 }
 
 AddrDecoder::AddrDecoder(const dram::DeviceConfig &cfg)

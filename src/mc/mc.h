@@ -27,7 +27,7 @@
 #define DRAMSCOPE_MC_MC_H
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,16 +97,10 @@ struct PolicyInfo
 };
 
 /** The full registry, indexed by RowPolicy enumerator order. */
-const std::vector<PolicyInfo> &policyTable();
-
-/** Registry entry for @p policy. */
-const PolicyInfo &policyInfo(RowPolicy policy);
+std::span<const PolicyInfo> policyTable();
 
 /** Stable keyword of @p policy ("open", "closed", ...). */
 const char *policyId(RowPolicy policy);
-
-/** Parses a policy keyword; nullopt on an unknown one. */
-std::optional<RowPolicy> policyFromString(const std::string &id);
 
 /**
  * Flat-address decode against one device geometry.  The mapping is

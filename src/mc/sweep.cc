@@ -19,9 +19,9 @@ sweepPlan(const std::vector<core::MitigationKind> &mitigations)
 {
     std::vector<SweepCell> cells;
     for (const auto mitigation : mitigations)
-        for (const auto kind : workloadTable())
-            for (const auto &info : policyTable())
-                cells.push_back({kind, info.policy, mitigation});
+        for (const auto &workload : workloadTable())
+            for (const auto &policy : policyTable())
+                cells.push_back({workload.kind, policy.policy, mitigation});
     return cells;
 }
 

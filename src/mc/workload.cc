@@ -15,39 +15,21 @@
 namespace dramscope {
 namespace mc {
 
+std::span<const WorkloadInfo>
+workloadTable()
+{
+    static constexpr WorkloadInfo kTable[] = {
+#define X(name, id, summary) {WorkloadKind::name, id},
+        DRAMSCOPE_MC_WORKLOADS(X)
+#undef X
+    };
+    return kTable;
+}
+
 const char *
 workloadId(WorkloadKind kind)
 {
-    switch (kind) {
-      case WorkloadKind::Streaming:
-        return "streaming";
-      case WorkloadKind::PointerChase:
-        return "chase";
-      case WorkloadKind::Zipfian:
-        return "zipfian";
-    }
-    return "?";
-}
-
-std::optional<WorkloadKind>
-workloadFromString(const std::string &id)
-{
-    for (const auto kind : workloadTable()) {
-        if (id == workloadId(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-const std::vector<WorkloadKind> &
-workloadTable()
-{
-    static const std::vector<WorkloadKind> table = {
-        WorkloadKind::Streaming,
-        WorkloadKind::PointerChase,
-        WorkloadKind::Zipfian,
-    };
-    return table;
+    return workloadTable()[size_t(kind)].id;
 }
 
 namespace {

@@ -16,7 +16,7 @@
 #ifndef DRAMSCOPE_MC_WORKLOAD_H
 #define DRAMSCOPE_MC_WORKLOAD_H
 
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,22 +26,39 @@
 namespace dramscope {
 namespace mc {
 
+/**
+ * The workload generator registry: X(enumerator, "keyword",
+ * "summary").  tools/check_docs.py requires docs/MC.md's workload
+ * table to list exactly these keywords, in this order.
+ */
+#define DRAMSCOPE_MC_WORKLOADS(X)                                           \
+    X(Streaming, "streaming",                                               \
+      "sequential addresses: hit- and interleave-heavy")                    \
+    X(PointerChase, "chase",                                                \
+      "hash-dependent random walk, reads only")                             \
+    X(Zipfian, "zipfian",                                                   \
+      "hot-row skewed accesses (aggressor exposure)")
+
 /** Workload generator kinds. */
 enum class WorkloadKind : uint8_t
 {
-    Streaming,     //!< Sequential addresses: hit- and interleave-heavy.
-    PointerChase,  //!< Hash-dependent random walk, reads only.
-    Zipfian,       //!< Hot-row skewed accesses (aggressor exposure).
+#define X(name, id, summary) name,
+    DRAMSCOPE_MC_WORKLOADS(X)
+#undef X
 };
+
+/** Static description of one generator. */
+struct WorkloadInfo
+{
+    WorkloadKind kind;
+    const char *id;  //!< Stable keyword ("streaming", "chase", ...).
+};
+
+/** The full registry, indexed by WorkloadKind enumerator order. */
+std::span<const WorkloadInfo> workloadTable();
 
 /** Stable keyword of @p kind ("streaming", "chase", "zipfian"). */
 const char *workloadId(WorkloadKind kind);
-
-/** Parses a workload keyword; nullopt on an unknown one. */
-std::optional<WorkloadKind> workloadFromString(const std::string &id);
-
-/** All generator kinds, in enum order. */
-const std::vector<WorkloadKind> &workloadTable();
 
 /**
  * Generator knobs.  The traffic shape is fixed (workload.cc): 75%

@@ -1,13 +1,18 @@
 /**
  * @file
- * Host/program executor tests.
+ * Host/program executor tests, and the DRAMSCOPE_LINT pre-flight
+ * modes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "bender/host.h"
 #include "dram/chip.h"
 #include "test_common.h"
+#include "util/metrics.h"
 
 namespace dramscope {
 namespace {
@@ -178,6 +183,92 @@ TEST_F(HostTest, UnbalancedLoopDies)
     Program p;
     p.loopBegin(2).act(0, 1);
     EXPECT_DEATH(p.validate(), "unbalanced");
+}
+
+/**
+ * Sets DRAMSCOPE_LINT for one scope and then restores the caller's
+ * value: CI runs this binary in one process.
+ */
+class ScopedLintMode
+{
+  public:
+    explicit ScopedLintMode(const char *mode)
+    {
+        const char *outer = std::getenv(kVar);
+        had_outer_ = outer != nullptr;
+        saved_ = had_outer_ ? outer : "";
+        setenv(kVar, mode, 1);
+    }
+
+    ~ScopedLintMode()
+    {
+        if (had_outer_)
+            setenv(kVar, saved_.c_str(), 1);
+        else
+            unsetenv(kVar);
+    }
+
+  private:
+    static constexpr const char *kVar = "DRAMSCOPE_LINT";
+    bool had_outer_ = false;
+    std::string saved_;
+};
+
+/** An unannotated ACT then PRE inside tRAS: one tras error, slot 1. */
+Program
+prematurePre()
+{
+    Program p;
+    p.act(0, 10).pre(0);
+    return p;
+}
+
+TEST(HostPreflight, WarnLogsAndCountsButRuns)
+{
+    const ScopedLintMode mode("warn");
+    dram::Chip chip(testutil::tinyPlain());
+    bender::Host host(chip);
+    obs::MetricsRegistry metrics;
+    host.setMetrics(&metrics);
+    testing::internal::CaptureStderr();
+    host.run(prematurePre());
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("lint: [tras] slot 1: "), std::string::npos)
+        << log;
+    EXPECT_EQ(chip.stats().acts, 1u);
+    EXPECT_EQ(chip.stats().pres, 1u);
+    const auto snap = metrics.snapshot();
+    EXPECT_EQ(snap.counterOr0("lint.programs"), 1u);
+    EXPECT_EQ(snap.counterOr0("lint.errors"), 1u);
+}
+
+TEST(HostPreflight, ErrorModeFatalsOnUnannotatedErrors)
+{
+    // The death statement runs in a child process, so the variable
+    // never leaks into the rest of the suite.
+    EXPECT_DEATH(
+        {
+            setenv("DRAMSCOPE_LINT", "error", 1);
+            dram::Chip chip(testutil::tinyPlain());
+            bender::Host host(chip);
+            host.run(prematurePre());
+        },
+        "lint: \\[tras\\] slot 1: ");
+}
+
+TEST(HostPreflight, ErrorModeRunsDeclaredViolations)
+{
+    // RowCopy's ACT inside tRP is declared, so it lints clean.
+    const ScopedLintMode mode("error");
+    dram::Chip chip(testutil::tinyPlain());
+    bender::Host host(chip);
+    obs::MetricsRegistry metrics;
+    host.setMetrics(&metrics);
+    host.rowCopy(0, 10, 11);
+    EXPECT_EQ(chip.stats().acts, 2u);
+    const auto snap = metrics.snapshot();
+    EXPECT_EQ(snap.counterOr0("lint.programs"), 1u);
+    EXPECT_EQ(snap.counterOr0("lint.errors"), 0u);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "dram/chip.h"
 #include "dram/timing.h"
 #include "test_common.h"
+#include "util/registry.h"
 #include "util/rng.h"
 
 namespace dramscope {
@@ -49,8 +50,12 @@ hasRule(const lint::Report &report, Rule rule)
 
 TEST(LintRuleTable, CompleteAndUnique)
 {
+    // The rule count, from the same X-macro the enum is built from.
+#define X(name, id, sev, summary) +1
+    constexpr size_t kRules = 0 DRAMSCOPE_LINT_RULES(X);
+#undef X
     const auto &table = lint::ruleTable();
-    ASSERT_EQ(table.size(), lint::ruleCount());
+    ASSERT_EQ(table.size(), kRules);
     ASSERT_GE(table.size(), 15u);
     std::set<std::string> ids;
     for (size_t i = 0; i < table.size(); ++i) {
@@ -59,7 +64,9 @@ TEST(LintRuleTable, CompleteAndUnique)
             << "duplicate rule id " << table[i].id;
         EXPECT_STRNE(table[i].summary, "");
         EXPECT_STREQ(lint::ruleId(table[i].rule), table[i].id);
+        EXPECT_EQ(registry::find(table, table[i].id), &table[i]);
     }
+    EXPECT_EQ(registry::find(table, "trcx"), nullptr);
 }
 
 class LintTest : public ::testing::Test
@@ -510,10 +517,13 @@ TEST(LintCatalog, LookupByNameAndUniqueness)
         EXPECT_TRUE(names.insert(entry.name).second) << entry.name;
     EXPECT_TRUE(names.count("hammer"));
     EXPECT_TRUE(names.count("rowcopy"));
-    const auto one = core::builtinProgram(cfg, "rowcopy");
+    const auto *info = registry::find(core::programTable(), "rowcopy");
+    ASSERT_NE(info, nullptr);
+    const auto one = core::builtinProgram(cfg, info->program);
     EXPECT_EQ(one.name, "rowcopy");
-    EXPECT_DEATH(core::builtinProgram(cfg, "no-such-program"),
-                 "unknown program");
+    EXPECT_EQ(one.origin, "re_subarray");
+    EXPECT_EQ(registry::find(core::programTable(), "no-such-program"),
+              nullptr);
 }
 
 } // namespace

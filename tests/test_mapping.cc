@@ -126,7 +126,10 @@ TEST_F(DimmTest, WriteReadRoundtripAcrossChips)
 
     dimm_.act(0, 40, t0);
     dimm_.writeChips(0, 3, data, t0 + 20);
-    EXPECT_EQ(dimm_.readChips(0, 3, t0 + 25), data);
+    // Rank columns are chip-major: chip c owns [c * columns, ...).
+    const uint32_t columns = dimm_.chip(0).config().columnsPerRow();
+    for (uint32_t c = 0; c < dimm_.chipCount(); ++c)
+        EXPECT_EQ(dimm_.read(0, c * columns + 3, t0 + 25), data[c]) << c;
     dimm_.pre(0, t0 + 60);
 }
 

@@ -25,6 +25,7 @@
 #include "test_common.h"
 #include "util/jsonl.h"
 #include "util/metrics.h"
+#include "util/registry.h"
 #include "util/rng.h"
 
 namespace dramscope {
@@ -88,25 +89,22 @@ TEST(McPolicies, RegistryRoundTripsAndRejectsUnknownIds)
 {
     EXPECT_EQ(mc::policyTable().size(), 4u);
     for (const auto &info : mc::policyTable()) {
-        EXPECT_EQ(mc::policyInfo(info.policy).id, info.id);
-        const auto parsed = mc::policyFromString(info.id);
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, info.policy);
+        EXPECT_STREQ(mc::policyId(info.policy), info.id);
+        EXPECT_EQ(registry::find(mc::policyTable(), info.id), &info);
     }
     EXPECT_STREQ(mc::policyId(RowPolicy::Open), "open");
     EXPECT_STREQ(mc::policyId(RowPolicy::HitCap), "cap");
-    EXPECT_FALSE(mc::policyFromString("fifo").has_value());
+    EXPECT_EQ(registry::find(mc::policyTable(), "fifo"), nullptr);
 }
 
 TEST(McWorkloads, RegistryRoundTripsAndRejectsUnknownIds)
 {
     EXPECT_EQ(mc::workloadTable().size(), 3u);
-    for (const auto kind : mc::workloadTable()) {
-        const auto parsed = mc::workloadFromString(mc::workloadId(kind));
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, kind);
+    for (const auto &info : mc::workloadTable()) {
+        EXPECT_STREQ(mc::workloadId(info.kind), info.id);
+        EXPECT_EQ(registry::find(mc::workloadTable(), info.id), &info);
     }
-    EXPECT_FALSE(mc::workloadFromString("random").has_value());
+    EXPECT_EQ(registry::find(mc::workloadTable(), "random"), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -116,7 +114,7 @@ TEST(McWorkloads, RegistryRoundTripsAndRejectsUnknownIds)
 TEST(McWorkloads, GeneratorsAreSeedDeterministic)
 {
     const auto cfg = testutil::tinyPlain();
-    for (const auto kind : mc::workloadTable()) {
+    for (const auto &[kind, id] : mc::workloadTable()) {
         WorkloadOptions opt;
         opt.requests = 500;
         opt.seed = 77;
@@ -133,7 +131,7 @@ TEST(McWorkloads, ArrivalsAreMonotoneAndAddressesInRange)
 {
     const auto cfg = testutil::tinyPlain();
     const AddrDecoder dec(cfg);
-    for (const auto kind : mc::workloadTable()) {
+    for (const auto &[kind, id] : mc::workloadTable()) {
         WorkloadOptions opt;
         opt.requests = 300;
         const auto reqs = mc::makeWorkload(kind, cfg, opt);
@@ -517,7 +515,7 @@ gridDigest(const std::string &preset, bool lowered,
 {
     const auto cfg = dram::makePreset(preset);
     testutil::Fnv1a fnv;
-    for (const auto kind : mc::workloadTable()) {
+    for (const auto &[kind, id] : mc::workloadTable()) {
         WorkloadOptions wopt;
         wopt.requests = 2000;
         const auto reqs = mc::makeWorkload(kind, cfg, wopt);

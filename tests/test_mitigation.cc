@@ -14,6 +14,7 @@
 #include "core/protect/mitigation.h"
 #include "dram/chip.h"
 #include "test_common.h"
+#include "util/registry.h"
 
 namespace dramscope {
 namespace {
@@ -31,16 +32,15 @@ TEST(MitigationRegistry, RoundTripsAndRejectsUnknownIds)
 {
     EXPECT_EQ(core::mitigationTable().size(), 5u);
     for (const auto &info : core::mitigationTable()) {
-        EXPECT_EQ(core::mitigationInfo(info.kind).id, info.id);
-        const auto parsed = core::mitigationFromString(info.id);
-        ASSERT_TRUE(parsed.has_value()) << info.id;
-        EXPECT_EQ(*parsed, info.kind);
+        EXPECT_STREQ(core::mitigationId(info.kind), info.id);
+        EXPECT_EQ(registry::find(core::mitigationTable(), info.id), &info)
+            << info.id;
     }
     EXPECT_STREQ(core::mitigationId(MitigationKind::None), "none");
     EXPECT_STREQ(core::mitigationId(MitigationKind::Graphene),
                  "graphene");
     EXPECT_STREQ(core::mitigationId(MitigationKind::RowSwap), "rowswap");
-    EXPECT_FALSE(core::mitigationFromString("para").has_value());
+    EXPECT_EQ(registry::find(core::mitigationTable(), "para"), nullptr);
     // None leads the registry so its sweep block keeps shard index 0.
     EXPECT_EQ(core::mitigationTable()[0].kind, MitigationKind::None);
 }

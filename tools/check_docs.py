@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (CI `docs` job).
 
-Eight checks:
+Four checks:
 
 1. Relative markdown links in README.md, EXPERIMENTS.md, DESIGN.md and
    docs/*.md must point at files that exist.
@@ -9,24 +9,13 @@ Eight checks:
    cite a model-source file and a test file that contain a literal
    ``O<n>`` tag comment, the cited bench file must exist, and the
    table must cover all of O1..O14.
-3. The rule table in docs/LINT_RULES.md must list exactly the rules
-   registered in the ``DRAMSCOPE_LINT_RULES`` X-macro of
-   src/bender/lint.h, in registry order, with matching severities.
-4. The fault-clause table in docs/RESILIENCE.md must list exactly the
-   clauses registered in the ``DRAMSCOPE_FAULT_CLAUSES`` X-macro of
-   src/dram/faulty_device.h, in registry order.
-5. The ``DRAMSCOPE_FASTPATH`` mode table in README.md must list
-   exactly the modes registered in the ``DRAMSCOPE_FASTPATH_MODES``
-   X-macro of src/dram/device.h, in registry order.
-6. The open-row policy table in docs/MC.md ("Open-row policies"
-   section) must list exactly the policies registered in the
-   ``DRAMSCOPE_MC_POLICIES`` X-macro of src/mc/mc.h, in registry
-   order, with matching knob strings.
-7. The mitigation table in docs/MC.md ("Mitigations" section) must
-   list exactly the defenses registered in the
-   ``DRAMSCOPE_MITIGATIONS`` X-macro of src/core/protect/mitigation.h,
-   in registry order, with matching knob strings.
-8. README.md's subsystem documentation index must link every file
+3. Each registry table named in REGISTRIES must document exactly the
+   entries of its X-macro, in registry order, with the registered
+   value in every compared column: the lint rules (severity), the
+   fault clauses (syntax), the DRAMSCOPE_FASTPATH modes, the mc
+   open-row policies (knobs), the mitigations (knobs) and the mc
+   workloads.
+4. README.md's subsystem documentation index must link every file
    under docs/ (no undocumented doc can be added silently).
 
 Exits non-zero with one line per problem.
@@ -40,40 +29,35 @@ REPO = Path(__file__).resolve().parent.parent
 
 LINK_CHECKED = ["README.md", "EXPERIMENTS.md", "DESIGN.md"]
 OBSERVATIONS = "docs/OBSERVATIONS.md"
-LINT_HEADER = "src/bender/lint.h"
-LINT_RULES_DOC = "docs/LINT_RULES.md"
-FAULT_HEADER = "src/dram/faulty_device.h"
-RESILIENCE_DOC = "docs/RESILIENCE.md"
 ALL_TAGS = [f"O{n}" for n in range(1, 15)]
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ROW_RE = re.compile(r"^\|\s*(O\d+)\s*\|")
 PATH_RE = re.compile(r"`([^`]+)`")
-# One X-macro entry: X(Enumerator, "rule-id", Severity, "summary...").
-RULE_ENTRY_RE = re.compile(
-    r"X\(\s*(\w+)\s*,\s*\"([a-z0-9-]+)\"\s*,\s*(\w+)\s*,")
-# One doc-table row: | `rule-id` | severity | description |
-RULE_ROW_RE = re.compile(
-    r"^\|\s*`([a-z0-9-]+)`\s*\|\s*(\w+)\s*\|\s*(.+?)\s*\|\s*$")
-# One fault X-macro entry: X(Enumerator, "keyword", "summary...").
-CLAUSE_ENTRY_RE = re.compile(r"X\(\s*(\w+)\s*,\s*\"([a-z]+)\"\s*,")
-# One clause-table row: | `keyword` | `syntax` | description |
-CLAUSE_ROW_RE = re.compile(
-    r"^\|\s*`([a-z]+)`\s*\|\s*`([^`]+)`\s*\|\s*(.+?)\s*\|\s*$")
-DEVICE_HEADER = "src/dram/device.h"
-# One fast-path X-macro entry: X(Enumerator, "keyword", "summary...").
-MODE_ENTRY_RE = re.compile(r"X\(\s*(\w+)\s*,\s*\"([a-z]+)\"\s*,")
-# One mode-table row: | `keyword` | description |
-MODE_ROW_RE = re.compile(r"^\|\s*`([a-z]+)`\s*\|\s*(.+?)\s*\|\s*$")
-MC_HEADER = "src/mc/mc.h"
-MC_DOC = "docs/MC.md"
-# One policy X-macro entry: X(Enumerator, "keyword", "knobs", "sum...").
-POLICY_ENTRY_RE = re.compile(
-    r"X\(\s*(\w+)\s*,\s*\"([a-z]+)\"\s*,\s*\"([^\"]*)\"\s*,")
-# One policy-table row: | `keyword` | `knobs` | description |
-POLICY_ROW_RE = re.compile(
-    r"^\|\s*`([a-z]+)`\s*\|\s*`([^`]+)`\s*\|\s*(.+?)\s*\|\s*$")
-MITIGATION_HEADER = "src/core/protect/mitigation.h"
+
+# The registry tables: (header, X-macro, doc, "## " section of the
+# table, compared columns).  A table row documents one X(...) entry:
+# its first cell is the entry's id (its second argument) in
+# backticks, then come the compared columns, each equal to the
+# argument after the id, then the description.
+REGISTRIES = [
+    ("src/bender/lint.h", "DRAMSCOPE_LINT_RULES", "docs/LINT_RULES.md",
+     "Rules", ["severity"]),
+    ("src/dram/faulty_device.h", "DRAMSCOPE_FAULT_CLAUSES",
+     "docs/RESILIENCE.md", "Fault grammar", ["syntax"]),
+    ("src/dram/device.h", "DRAMSCOPE_FASTPATH_MODES", "README.md",
+     "Fast-forward execution of hammer loops", []),
+    ("src/mc/mc.h", "DRAMSCOPE_MC_POLICIES", "docs/MC.md",
+     "Open-row policies", ["knobs"]),
+    ("src/core/protect/mitigation.h", "DRAMSCOPE_MITIGATIONS",
+     "docs/MC.md", "Mitigations", ["knobs"]),
+    ("src/mc/workload.h", "DRAMSCOPE_MC_WORKLOADS", "docs/MC.md",
+     "Workloads and traces", []),
+]
+# X-macro tokens: a string literal, a word, or punctuation.
+MACRO_TOKEN_RE = re.compile(r'"((?:[^"\\]|\\.)*)"|(\w+)|([(),])')
+# A registry table row: | `id` | cells... |
+TABLE_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|(.*)\|\s*$")
 
 
 def check_links(md_path: Path, errors: list) -> None:
@@ -145,326 +129,100 @@ def check_observations(errors: list) -> None:
                           f"missing: {bench}")
 
 
-def registered_lint_rules(errors: list) -> list:
-    """(rule-id, severity) pairs from the X-macro, registry order."""
-    header = REPO / LINT_HEADER
-    if not header.exists():
-        errors.append(f"{LINT_HEADER}: missing")
-        return []
-    text = header.read_text(encoding="utf-8")
-    marker = "#define DRAMSCOPE_LINT_RULES(X)"
+def xmacro_entries(header: str, macro: str, errors: list) -> list:
+    """The arguments of each X(...) entry of `macro`, registry order.
+
+    Adjacent string literals join into one argument.  Unquoted
+    arguments (enumerators, such as a severity) are read in lower
+    case, as the docs write them.
+    """
+    path = REPO / header
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    marker = f"#define {macro}(X)"
     start = text.find(marker)
     if start < 0:
-        errors.append(f"{LINT_HEADER}: DRAMSCOPE_LINT_RULES macro "
-                      f"not found")
+        errors.append(f"{header}: {macro} macro not found")
         return []
     # The macro body is the run of backslash-continued lines.
-    body_lines = []
-    for line in text[start + len(marker):].splitlines()[1:]:
-        body_lines.append(line)
+    body = []
+    for line in text[start + len(marker):].splitlines():
+        body.append(line)
         if not line.rstrip().endswith("\\"):
             break
-    rules = [(rid, sev.lower())
-             for _, rid, sev in RULE_ENTRY_RE.findall("\n".join(body_lines))]
-    if not rules:
-        errors.append(f"{LINT_HEADER}: no X(...) entries parsed from "
-                      f"DRAMSCOPE_LINT_RULES")
-    return rules
+    entries, args = [], None
+    for string, word, punct in MACRO_TOKEN_RE.findall("\n".join(body)):
+        if args is None:
+            if punct == "(" and word == "":
+                args = [""]
+        elif punct == ",":
+            args.append("")
+        elif punct == ")":
+            entries.append(args)
+            args = None
+        else:
+            args[-1] += string or word.lower()
+    if not entries:
+        errors.append(f"{header}: no X(...) entries parsed from {macro}")
+    return entries
 
 
-def check_lint_rules(errors: list) -> None:
-    rules = registered_lint_rules(errors)
-    doc_path = REPO / LINT_RULES_DOC
-    if not doc_path.exists():
-        errors.append(f"{LINT_RULES_DOC}: missing")
-        return
+def doc_table(doc: str, section: str, errors: list) -> list:
+    """(line index, cells) of the registry rows in ``## <section>``.
 
-    documented = []
-    for line in doc_path.read_text(encoding="utf-8").splitlines():
-        m = RULE_ROW_RE.match(line.strip())
-        if not m:
-            continue
-        rid, sev, desc = m.group(1), m.group(2).lower(), m.group(3)
-        documented.append((rid, sev))
-        if not desc.strip():
-            errors.append(f"{LINT_RULES_DOC}: {rid}: empty description")
-
-    doc_ids = {rid for rid, _ in documented}
-    reg_ids = {rid for rid, _ in rules}
-    for rid, sev in rules:
-        if rid not in doc_ids:
-            errors.append(f"{LINT_RULES_DOC}: registered rule '{rid}' "
-                          f"has no table row")
-    for rid, sev in documented:
-        if rid not in reg_ids:
-            errors.append(f"{LINT_RULES_DOC}: documents unknown rule "
-                          f"'{rid}' (not in {LINT_HEADER})")
-    doc_sev = dict(documented)
-    for rid, sev in rules:
-        if rid in doc_sev and doc_sev[rid] != sev:
-            errors.append(f"{LINT_RULES_DOC}: {rid}: documented "
-                          f"severity '{doc_sev[rid]}' != registered "
-                          f"'{sev}'")
-    if doc_ids == reg_ids and \
-            [r for r, _ in documented] != [r for r, _ in rules]:
-        errors.append(f"{LINT_RULES_DOC}: table rows are not in "
-                      f"registry order")
-
-
-def registered_fault_clauses(errors: list) -> list:
-    """Clause keywords from the X-macro, registry order."""
-    header = REPO / FAULT_HEADER
-    if not header.exists():
-        errors.append(f"{FAULT_HEADER}: missing")
-        return []
-    text = header.read_text(encoding="utf-8")
-    marker = "#define DRAMSCOPE_FAULT_CLAUSES(X)"
-    start = text.find(marker)
-    if start < 0:
-        errors.append(f"{FAULT_HEADER}: DRAMSCOPE_FAULT_CLAUSES macro "
-                      f"not found")
-        return []
-    body_lines = []
-    for line in text[start + len(marker):].splitlines()[1:]:
-        body_lines.append(line)
-        if not line.rstrip().endswith("\\"):
-            break
-    clauses = [kw for _, kw
-               in CLAUSE_ENTRY_RE.findall("\n".join(body_lines))]
-    if not clauses:
-        errors.append(f"{FAULT_HEADER}: no X(...) entries parsed from "
-                      f"DRAMSCOPE_FAULT_CLAUSES")
-    return clauses
-
-
-def check_fault_clauses(errors: list) -> None:
-    clauses = registered_fault_clauses(errors)
-    doc_path = REPO / RESILIENCE_DOC
-    if not doc_path.exists():
-        errors.append(f"{RESILIENCE_DOC}: missing")
-        return
-
-    documented = []
-    for line in doc_path.read_text(encoding="utf-8").splitlines():
-        m = CLAUSE_ROW_RE.match(line.strip())
-        if not m:
-            continue
-        keyword, syntax, desc = m.group(1), m.group(2), m.group(3)
-        documented.append(keyword)
-        if not syntax.startswith(keyword):
-            errors.append(f"{RESILIENCE_DOC}: {keyword}: syntax "
-                          f"'{syntax}' does not start with the clause "
-                          f"keyword")
-        if not desc.strip():
-            errors.append(f"{RESILIENCE_DOC}: {keyword}: empty "
-                          f"description")
-
-    for keyword in clauses:
-        if keyword not in documented:
-            errors.append(f"{RESILIENCE_DOC}: registered fault clause "
-                          f"'{keyword}' has no table row")
-    for keyword in documented:
-        if keyword not in clauses:
-            errors.append(f"{RESILIENCE_DOC}: documents unknown fault "
-                          f"clause '{keyword}' (not in {FAULT_HEADER})")
-    if set(documented) == set(clauses) and documented != clauses:
-        errors.append(f"{RESILIENCE_DOC}: clause table rows are not "
-                      f"in registry order")
-
-
-def registered_fastpath_modes(errors: list) -> list:
-    """Mode keywords from the X-macro, registry order."""
-    header = REPO / DEVICE_HEADER
-    if not header.exists():
-        errors.append(f"{DEVICE_HEADER}: missing")
-        return []
-    text = header.read_text(encoding="utf-8")
-    marker = "#define DRAMSCOPE_FASTPATH_MODES(X)"
-    start = text.find(marker)
-    if start < 0:
-        errors.append(f"{DEVICE_HEADER}: DRAMSCOPE_FASTPATH_MODES "
-                      f"macro not found")
-        return []
-    body_lines = []
-    for line in text[start + len(marker):].splitlines()[1:]:
-        body_lines.append(line)
-        if not line.rstrip().endswith("\\"):
-            break
-    modes = [kw for _, kw
-             in MODE_ENTRY_RE.findall("\n".join(body_lines))]
-    if not modes:
-        errors.append(f"{DEVICE_HEADER}: no X(...) entries parsed from "
-                      f"DRAMSCOPE_FASTPATH_MODES")
-    return modes
-
-
-def check_fastpath_modes(errors: list) -> None:
-    """README's DRAMSCOPE_FASTPATH mode table vs the mode registry."""
-    modes = registered_fastpath_modes(errors)
-    readme = REPO / "README.md"
-    if not readme.exists():
-        return  # Reported by the link pass already.
-    lines = readme.read_text(encoding="utf-8").splitlines()
-    # The table lives in the section that introduces the env knob:
-    # scan rows from the first DRAMSCOPE_FASTPATH mention to the next
-    # heading, so unrelated two-column tables elsewhere can't match.
-    documented = []
-    in_section = False
-    for line in lines:
-        if "DRAMSCOPE_FASTPATH" in line and not in_section:
-            in_section = True
-            continue
-        if in_section and line.startswith("## "):
-            break
-        if not in_section:
-            continue
-        # Header and separator rows have no backticked first cell, so
-        # every match is a real mode row.
-        m = MODE_ROW_RE.match(line.strip())
-        if not m:
-            continue
-        keyword, desc = m.group(1), m.group(2)
-        documented.append(keyword)
-        if not desc.strip():
-            errors.append(f"README.md: fast-path mode '{keyword}': "
-                          f"empty description")
-    for keyword in modes:
-        if keyword not in documented:
-            errors.append(f"README.md: registered fast-path mode "
-                          f"'{keyword}' has no DRAMSCOPE_FASTPATH "
-                          f"table row")
-    for keyword in documented:
-        if keyword not in modes:
-            errors.append(f"README.md: documents unknown fast-path "
-                          f"mode '{keyword}' (not in {DEVICE_HEADER})")
-    if set(documented) == set(modes) and documented != modes:
-        errors.append(f"README.md: DRAMSCOPE_FASTPATH table rows are "
-                      f"not in registry order")
-
-
-def registered_mc_policies(errors: list) -> list:
-    """(keyword, knobs) pairs from the X-macro, registry order."""
-    header = REPO / MC_HEADER
-    if not header.exists():
-        errors.append(f"{MC_HEADER}: missing")
-        return []
-    text = header.read_text(encoding="utf-8")
-    marker = "#define DRAMSCOPE_MC_POLICIES(X)"
-    start = text.find(marker)
-    if start < 0:
-        errors.append(f"{MC_HEADER}: DRAMSCOPE_MC_POLICIES macro "
-                      f"not found")
-        return []
-    body_lines = []
-    for line in text[start + len(marker):].splitlines()[1:]:
-        body_lines.append(line)
-        if not line.rstrip().endswith("\\"):
-            break
-    policies = [(kw, knobs) for _, kw, knobs
-                in POLICY_ENTRY_RE.findall("\n".join(body_lines))]
-    if not policies:
-        errors.append(f"{MC_HEADER}: no X(...) entries parsed from "
-                      f"DRAMSCOPE_MC_POLICIES")
-    return policies
-
-
-def mc_doc_table_rows(section: str, errors: list) -> list:
-    """(keyword, knobs, desc) rows from one ``## <section>`` of MC.md.
-
-    Both the policy and the mitigation table share the
-    | `keyword` | `knobs` | description | shape, so each check must
-    only see the rows of its own section.
+    The first cell is the id without its backticks; the others are
+    stripped of surrounding space and backticks.
     """
-    doc_path = REPO / MC_DOC
-    if not doc_path.exists():
-        errors.append(f"{MC_DOC}: missing")
+    path = REPO / doc
+    if not path.exists():
+        errors.append(f"{doc}: missing")
         return []
-    rows = []
-    in_section = False
-    for line in doc_path.read_text(encoding="utf-8").splitlines():
-        if line.strip() == f"## {section}":
-            in_section = True
+    rows, in_section, found = [], False, False
+    for index, line in enumerate(path.read_text(encoding="utf-8")
+                                 .splitlines()):
+        if line.startswith("## "):
+            in_section = line[3:].strip() == section
+            found = found or in_section
             continue
-        if in_section and line.startswith("## "):
-            break
-        if not in_section:
-            continue
-        m = POLICY_ROW_RE.match(line.strip())
+        m = TABLE_ROW_RE.match(line.strip()) if in_section else None
         if m:
-            rows.append((m.group(1), m.group(2), m.group(3)))
-    if not in_section:
-        errors.append(f"{MC_DOC}: no '## {section}' section")
+            rows.append((index, [m.group(1)] + [
+                cell.strip().strip("`") for cell in m.group(2).split("|")]))
+    if not found:
+        errors.append(f"{doc}: no '## {section}' section")
     return rows
 
 
-def check_registry_table(doc_rows: list, registered: list, noun: str,
-                         header: str, errors: list) -> None:
-    """Shared id/knob/order comparison for the MC.md X-macro tables."""
-    documented = [(kw, knobs) for kw, knobs, desc in doc_rows]
-    for kw, knobs, desc in doc_rows:
-        if not desc.strip():
-            errors.append(f"{MC_DOC}: {kw}: empty description")
-    doc_ids = {kw for kw, _ in documented}
-    reg_ids = {kw for kw, _ in registered}
-    for kw, _ in registered:
-        if kw not in doc_ids:
-            errors.append(f"{MC_DOC}: registered {noun} '{kw}' has no "
-                          f"table row")
-    for kw, _ in documented:
-        if kw not in reg_ids:
-            errors.append(f"{MC_DOC}: documents unknown {noun} '{kw}' "
-                          f"(not in {header})")
-    doc_knobs = dict(documented)
-    for kw, knobs in registered:
-        if kw in doc_knobs and doc_knobs[kw] != knobs:
-            errors.append(f"{MC_DOC}: {kw}: documented knobs "
-                          f"'{doc_knobs[kw]}' != registered '{knobs}'")
-    if doc_ids == reg_ids and \
-            [k for k, _ in documented] != [k for k, _ in registered]:
-        errors.append(f"{MC_DOC}: {noun} table rows are not in "
-                      f"registry order")
-
-
-def check_mc_policies(errors: list) -> None:
-    """docs/MC.md's policy table vs the DRAMSCOPE_MC_POLICIES macro."""
-    policies = registered_mc_policies(errors)
-    rows = mc_doc_table_rows("Open-row policies", errors)
-    check_registry_table(rows, policies, "policy", MC_HEADER, errors)
-
-
-def registered_mitigations(errors: list) -> list:
-    """(keyword, knobs) pairs from the X-macro, registry order."""
-    header = REPO / MITIGATION_HEADER
-    if not header.exists():
-        errors.append(f"{MITIGATION_HEADER}: missing")
-        return []
-    text = header.read_text(encoding="utf-8")
-    marker = "#define DRAMSCOPE_MITIGATIONS(X)"
-    start = text.find(marker)
-    if start < 0:
-        errors.append(f"{MITIGATION_HEADER}: DRAMSCOPE_MITIGATIONS "
-                      f"macro not found")
-        return []
-    body_lines = []
-    for line in text[start + len(marker):].splitlines()[1:]:
-        body_lines.append(line)
-        if not line.rstrip().endswith("\\"):
-            break
-    # Same X(Enumerator, "id", "knobs", "summary") shape as policies.
-    mitigations = [(kw, knobs) for _, kw, knobs
-                   in POLICY_ENTRY_RE.findall("\n".join(body_lines))]
-    if not mitigations:
-        errors.append(f"{MITIGATION_HEADER}: no X(...) entries parsed "
-                      f"from DRAMSCOPE_MITIGATIONS")
-    return mitigations
-
-
-def check_mitigations(errors: list) -> None:
-    """docs/MC.md's mitigation table vs DRAMSCOPE_MITIGATIONS."""
-    mitigations = registered_mitigations(errors)
-    rows = mc_doc_table_rows("Mitigations", errors)
-    check_registry_table(rows, mitigations, "mitigation",
-                         MITIGATION_HEADER, errors)
+def check_registry(header: str, macro: str, doc: str, section: str,
+                   columns: list, errors: list) -> None:
+    """One doc table against the X-macro it documents."""
+    registered = {args[1]: args[2:2 + len(columns)]
+                  for args in xmacro_entries(header, macro, errors)}
+    documented = {}
+    for _, cells in doc_table(doc, section, errors):
+        rid = cells[0]
+        if rid in documented:
+            errors.append(f"{doc}: {rid}: documented twice")
+        documented[rid] = cells[1:1 + len(columns)]
+        if len(cells) != len(columns) + 2 or not cells[-1]:
+            errors.append(f"{doc}: {rid}: expected {len(columns) + 2} "
+                          f"cells ending in a description")
+    for rid in registered:
+        if rid not in documented:
+            errors.append(f"{doc}: {macro} entry '{rid}' has no table "
+                          f"row")
+    for rid in documented:
+        if rid not in registered:
+            errors.append(f"{doc}: documents '{rid}', which {macro} in "
+                          f"{header} does not register")
+            continue
+        for name, want, got in zip(columns, registered[rid],
+                                   documented[rid]):
+            if want != got:
+                errors.append(f"{doc}: {rid}: documented {name} '{got}' "
+                              f"!= registered '{want}'")
+    if registered.keys() == documented.keys() and \
+            list(registered) != list(documented):
+        errors.append(f"{doc}: table rows are not in {macro} order")
 
 
 def check_readme_doc_index(errors: list) -> None:
@@ -491,11 +249,8 @@ def main() -> int:
     for path in sorted((REPO / "docs").glob("*.md")):
         check_links(path, errors)
     check_observations(errors)
-    check_lint_rules(errors)
-    check_fault_clauses(errors)
-    check_fastpath_modes(errors)
-    check_mc_policies(errors)
-    check_mitigations(errors)
+    for registry in REGISTRIES:
+        check_registry(*registry, errors)
     check_readme_doc_index(errors)
 
     if errors:
@@ -503,10 +258,9 @@ def main() -> int:
             print(f"check_docs: {err}", file=sys.stderr)
         print(f"check_docs: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    print("check_docs: all links resolve, O1..O14 all mapped and "
-          "tagged, lint rule, fault clause, fast-path mode, mc policy "
-          "and mitigation tables in sync, README indexes every docs/ "
-          "file")
+    print(f"check_docs: all links resolve, O1..O14 all mapped and tagged, "
+          f"{len(REGISTRIES)} registry tables in sync, README indexes "
+          f"every docs/ file")
     return 0
 
 

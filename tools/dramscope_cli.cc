@@ -12,8 +12,8 @@
  * Exit codes: 0 success; 1 a run that executed but failed (lint or
  * certification errors, metrics mismatch, quarantined shards, failed
  * AIB validation, refused resume); 2 usage errors (unknown subcommand,
- * flag, --device or --faults value, malformed numbers, a flag the
- * subcommand does not read).
+ * flag, preset, catalog program, keyword, --device or --faults value,
+ * malformed numbers, a flag the subcommand does not read).
  */
 
 #include <algorithm>
@@ -44,11 +44,13 @@
 #include "dram/chip.h"
 #include "dram/faulty_device.h"
 #include "dram/hbm_stack.h"
+#include "dram/timing.h"
 #include "mapping/dimm.h"
 #include "mc/mc.h"
 #include "mc/sweep.h"
 #include "mc/workload.h"
 #include "util/metrics.h"
+#include "util/registry.h"
 #include "util/table.h"
 
 using namespace dramscope;
@@ -64,10 +66,10 @@ struct Flags
     std::string device;      //!< --device=chip|dimm|hbm[:N].
     std::string faults;      //!< --faults=SPEC (fault injection).
     std::string checkpoint;  //!< --checkpoint=FILE (shard journal).
-    std::string workload;    //!< --workload=streaming|chase|zipfian.
-    std::string policy;      //!< --policy=open|closed|timeout|cap.
-    std::string mitigation;  //!< --mitigation=none|graphene|rfm|drfm|
-                             //!< rowswap (mcsweep also accepts "all").
+    std::string workload;    //!< --workload= (mc::workloadTable()).
+    std::string policy;      //!< --policy= (mc::policyTable()).
+    std::string mitigation;  //!< --mitigation= (core::mitigationTable();
+                             //!< the grids also accept "all").
     std::string dumpTrace;   //!< --dump-trace=FILE (address trace out).
     bool resume = false;     //!< --resume (skip journaled shards).
     unsigned jobs = 0;       //!< --jobs=N (0 = DRAMSCOPE_JOBS / hw).
@@ -172,43 +174,46 @@ parseFaultsOrExit(const std::string &spec)
 }
 
 /**
- * Parses the keyword @p id of @p flag with @p parse, a registry's
- * fromString function; exits 2 with @p choices on an unknown one.
+ * The entry of registry @p table named @p id; exits 2 on an unknown
+ * one with "error: unknown <what> '<id>' <scope>(a|b|c<more>)".
  */
-template <typename Parse>
-auto
-parseKeywordOrExit(const std::string &id, Parse parse, const char *flag,
-                   const std::string &choices)
+template <typename Table>
+const auto &
+keywordOrExit(const Table &table, const std::string &id, const char *what,
+              const std::string &scope = "", const char *more = "")
 {
-    const auto value = parse(id);
-    if (!value) {
-        std::fprintf(stderr, "error: unknown %s '%s' %s\n", flag,
-                     id.c_str(), choices.c_str());
+    const auto *entry = registry::find(table, id);
+    if (entry == nullptr) {
+        std::fprintf(stderr, "error: unknown %s '%s' %s(%s%s)\n", what,
+                     id.c_str(), scope.c_str(),
+                     registry::ids(table).c_str(), more);
         std::exit(2);
     }
-    return *value;
+    return *entry;
 }
 
 /**
  * Parses the --mitigation value @p id of @p cmd: one registered kind,
  * or "all" (the whole registry, None first) for every command but
- * `mc`, which runs one schedule.
+ * `mc`, which runs one schedule.  Unset is None, except under
+ * certify --grid: pre-flight is meant to cover everything a sweep
+ * could run.
  */
 std::vector<core::MitigationKind>
 parseMitigationsOrExit(const std::string &id, const std::string &cmd)
 {
     const bool grid = cmd != "mc";
-    if (grid && id == "all") {
+    if (grid && (id == "all" || (id.empty() && cmd == "certify"))) {
         std::vector<core::MitigationKind> kinds;
         for (const auto &info : core::mitigationTable())
             kinds.push_back(info.kind);
         return kinds;
     }
-    return {parseKeywordOrExit(id, core::mitigationFromString,
-                               "--mitigation",
-                               "for " + cmd +
-                                   " (none|graphene|rfm|drfm|rowswap" +
-                                   (grid ? "|all)" : ")"))};
+    if (id.empty())
+        return {core::MitigationKind::None};
+    return {keywordOrExit(core::mitigationTable(), id, "--mitigation",
+                          "for " + cmd + " ", grid ? "|all" : "")
+                .kind};
 }
 
 /**
@@ -339,10 +344,9 @@ usage()
         "  (lint and certify run no device and take none of these)\n"
         "sweep/mcsweep accept --jobs=N --seed=S --retries=K "
         "--timeout-ms=T --checkpoint=FILE --resume\n"
-        "mc accepts --workload=streaming|chase|zipfian "
-        "--policy=open|closed|timeout|cap --reqs=N --seed=S\n"
-        "  --mitigation=none|graphene|rfm|drfm|rowswap "
-        "--refresh-interval-ns=T (<0 config tREFI, 0 off)\n"
+        "mc accepts --workload=%s --policy=%s --reqs=N --seed=S\n"
+        "  --mitigation=%s --refresh-interval-ns=T (<0 config tREFI, 0 "
+        "off)\n"
         "  --trace=FILE (replay a JSONL address trace) "
         "--dump-trace=FILE (record the stream); mcsweep accepts "
         "--reqs=N\n"
@@ -354,7 +358,10 @@ usage()
         "(--mitigation=<kind>|all, --reqs=N, --seed=S)\n"
         "a flag the command does not read is a usage error\n"
         "see docs/MC.md for the policy and mitigation tables, "
-        "docs/LINT_RULES.md for the rule registry\n");
+        "docs/LINT_RULES.md for the rule registry\n",
+        registry::ids(mc::workloadTable()).c_str(),
+        registry::ids(mc::policyTable()).c_str(),
+        registry::ids(core::mitigationTable()).c_str());
     return 2;
 }
 
@@ -551,15 +558,27 @@ cmdStats(const std::string &preset, dram::RowAddr aggr, uint64_t count,
     return delta == res.commandsIssued ? 0 : 1;
 }
 
+/**
+ * The catalog program named by the third argument of @p args, or
+ * nullptr (the whole catalog) when there is none.
+ */
+const core::ProgramInfo *
+programOrExit(const std::vector<std::string> &args)
+{
+    return args.size() > 2
+               ? &keywordOrExit(core::programTable(), args[2], "program")
+               : nullptr;
+}
+
 int
-cmdLint(const std::string &preset, const std::string &name)
+cmdLint(const std::string &preset, const core::ProgramInfo *program)
 {
     const auto cfg = dram::makePreset(preset);
     std::vector<core::NamedProgram> programs;
-    if (name.empty())
+    if (program == nullptr)
         programs = core::builtinPrograms(cfg);
     else
-        programs.push_back(core::builtinProgram(cfg, name));
+        programs.push_back(core::builtinProgram(cfg, program->program));
 
     Table t({"Program", "Slot", "Rule", "Severity", "Message"});
     size_t unexpected_errors = 0;
@@ -593,7 +612,7 @@ cmdLint(const std::string &preset, const std::string &name)
  * export path.  Nothing executes on a device.
  */
 int
-cmdCertify(const std::string &preset, const std::string &name,
+cmdCertify(const std::string &preset, const core::ProgramInfo *program,
            const Flags &flags)
 {
     const auto cfg = dram::makePreset(preset);
@@ -604,14 +623,11 @@ cmdCertify(const std::string &preset, const std::string &name,
 
     std::vector<core::NamedProgram> units;
     if (flags.grid) {
-        // Unlike mcsweep, the axis defaults to the full registry: the
-        // point of pre-flight is covering everything a sweep could run.
         mc::McSweepOptions mopt;
         mopt.requests = flags.reqs;
         mopt.seed = flags.seed;
-        const auto plan = mc::sweepPlan(parseMitigationsOrExit(
-            flags.mitigation.empty() ? "all" : flags.mitigation,
-            "certify"));
+        const auto plan =
+            mc::sweepPlan(parseMitigationsOrExit(flags.mitigation, "certify"));
         for (uint32_t shard = 0; shard < plan.size(); ++shard) {
             const auto &cell = plan[shard];
             auto result =
@@ -622,10 +638,10 @@ cmdCertify(const std::string &preset, const std::string &name,
                      core::mitigationId(cell.mitigation),
                  "mc", std::move(result.program)});
         }
-    } else if (name.empty()) {
+    } else if (program == nullptr) {
         units = core::builtinPrograms(cfg);
     } else {
-        units.push_back(core::builtinProgram(cfg, name));
+        units.push_back(core::builtinProgram(cfg, program->program));
     }
 
     Table t({"Program", "Bound", "Hot bank/row", "Exact", "Energy (pJ)",
@@ -656,7 +672,7 @@ cmdCertify(const std::string &preset, const std::string &name,
     for (const auto &e : errors)
         std::printf("error %s\n", e.c_str());
     std::printf("%zu program(s): %zu certified, %zu failed "
-                "(threshold %llu ACTs, budget %.2f mW over %.0f ns)\n",
+                "(threshold %llu ACTs, budget %.2f mW over %s ns)\n",
                 units.size(), units.size() - failed, failed,
                 (unsigned long long)(flags.threshold
                                          ? flags.threshold
@@ -664,8 +680,10 @@ cmdCertify(const std::string &preset, const std::string &name,
                                                         .thresholdMin)),
                 flags.powerBudgetMw > 0.0 ? flags.powerBudgetMw
                                           : cfg.energy.maxAvgPowerMw,
-                flags.powerWindowNs > 0.0 ? flags.powerWindowNs
-                                          : cfg.energy.powerWindowNs);
+                dram::nsText(flags.powerWindowNs > 0.0
+                                 ? flags.powerWindowNs
+                                 : cfg.energy.powerWindowNs)
+                    .c_str());
     return failed == 0 ? 0 : 1;
 }
 
@@ -903,14 +921,18 @@ cmdMc(const std::string &preset, const Flags &flags)
 {
     const auto cfg = dram::makePreset(preset);
 
-    const auto workload = parseKeywordOrExit(
-        flags.workload.empty() ? "zipfian" : flags.workload,
-        mc::workloadFromString, "--workload", "(streaming|chase|zipfian)");
-    const auto policy = parseKeywordOrExit(
-        flags.policy.empty() ? "open" : flags.policy, mc::policyFromString,
-        "--policy", "(open|closed|timeout|cap)");
-    const auto mitigation = parseMitigationsOrExit(
-        flags.mitigation.empty() ? "none" : flags.mitigation, "mc")[0];
+    const auto workload =
+        flags.workload.empty()
+            ? mc::WorkloadKind::Zipfian
+            : keywordOrExit(mc::workloadTable(), flags.workload,
+                            "--workload")
+                  .kind;
+    const auto policy =
+        flags.policy.empty()
+            ? mc::RowPolicy::Open
+            : keywordOrExit(mc::policyTable(), flags.policy, "--policy")
+                  .policy;
+    const auto mitigation = parseMitigationsOrExit(flags.mitigation, "mc")[0];
 
     std::vector<mc::Request> reqs;
     try {
@@ -1004,15 +1026,14 @@ cmdMcSweep(const std::string &preset, const Flags &flags)
     mc::McSweepOptions mopt;
     mopt.requests = flags.reqs;
     mopt.seed = flags.seed;
-    mopt.mitigations = parseMitigationsOrExit(
-        flags.mitigation.empty() ? "none" : flags.mitigation, "mcsweep");
+    mopt.mitigations = parseMitigationsOrExit(flags.mitigation, "mcsweep");
 
     std::string tag = "mc/" + preset + "/" + flags.device + "/r" +
                       std::to_string(flags.reqs) + "/" +
                       sweep.faults.toString();
     // Only non-default axes change the tag, so pre-mitigation
     // journals keep resuming.
-    if (!flags.mitigation.empty() && flags.mitigation != "none")
+    if (mopt.mitigations != std::vector{core::MitigationKind::None})
         tag += "/mit=" + flags.mitigation;
     return sweep.run(tag, {"mc.", "faults.", "sweep."},
                      [&](core::SweepRunner &runner,
@@ -1123,7 +1144,8 @@ main(int argc, char **argv)
     if (cmd == "list")
         return cmdList();
     if (args.size() >= 2) {
-        const std::string &preset = args[1];
+        const std::string &preset =
+            keywordOrExit(dram::presetTable(), args[1], "preset").id;
         if (cmd == "inspect")
             return cmdInspect(preset);
         if (cmd == "retention")
@@ -1131,9 +1153,11 @@ main(int argc, char **argv)
         if (cmd == "report")
             return cmdReport(preset, flags);
         if (cmd == "lint")
-            return cmdLint(preset, args.size() > 2 ? args[2] : "");
+            return cmdLint(preset, programOrExit(args));
+        // certify --grid certifies the mc grid, not a catalog program.
         if (cmd == "certify")
-            return cmdCertify(preset, args.size() > 2 ? args[2] : "",
+            return cmdCertify(preset,
+                              flags.grid ? nullptr : programOrExit(args),
                               flags);
         if (cmd == "stats") {
             const auto row = args.size() > 2
