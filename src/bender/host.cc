@@ -283,31 +283,42 @@ Host::run(const Program &prog)
     return result;
 }
 
+/**
+ * One row session: ACT @p row, tRCD, `bursts(p)`, tRAS, PRE, tRP.  The
+ * frame of the four row read and write programs; @p bursts appends the
+ * RD/WR slots and is inlined, so the frame adds no call or copy.
+ */
+template <typename Bursts>
+static Program
+rowSession(const dram::DeviceConfig &cfg, dram::BankId b, dram::RowAddr row,
+           const Bursts &bursts)
+{
+    Program p;
+    p.act(b, row).sleepNs(cfg.timing.tRcdNs);
+    bursts(p);
+    p.sleepNs(cfg.timing.tRasNs).pre(b).sleepNs(cfg.timing.tRpNs);
+    return p;
+}
+
 Program
 Host::makeWriteRowProgram(const dram::DeviceConfig &cfg, dram::BankId b,
                           dram::RowAddr row,
                           const std::vector<uint64_t> &cols)
 {
-    const auto &t = cfg.timing;
-    Program p;
-    p.act(b, row).sleepNs(t.tRcdNs);
-    for (dram::ColAddr c = 0; c < cols.size(); ++c)
-        p.wr(b, c, cols[c]);
-    p.sleepNs(t.tRasNs).pre(b).sleepNs(t.tRpNs);
-    return p;
+    return rowSession(cfg, b, row, [&](Program &p) {
+        for (dram::ColAddr c = 0; c < cols.size(); ++c)
+            p.wr(b, c, cols[c]);
+    });
 }
 
 Program
 Host::makeReadRowProgram(const dram::DeviceConfig &cfg, dram::BankId b,
                          dram::RowAddr row)
 {
-    const auto &t = cfg.timing;
-    Program p;
-    p.act(b, row).sleepNs(t.tRcdNs);
-    for (dram::ColAddr c = 0; c < cfg.columnsPerRow(); ++c)
-        p.rd(b, c);
-    p.sleepNs(t.tRasNs).pre(b).sleepNs(t.tRpNs);
-    return p;
+    return rowSession(cfg, b, row, [&](Program &p) {
+        for (dram::ColAddr c = 0; c < cfg.columnsPerRow(); ++c)
+            p.rd(b, c);
+    });
 }
 
 Program
@@ -316,13 +327,10 @@ Host::makeWriteColumnsProgram(const dram::DeviceConfig &cfg,
                               const std::vector<dram::ColAddr> &cols,
                               uint64_t rd_data)
 {
-    const auto &t = cfg.timing;
-    Program p;
-    p.act(b, row).sleepNs(t.tRcdNs);
-    for (const auto c : cols)
-        p.wr(b, c, rd_data);
-    p.sleepNs(t.tRasNs).pre(b).sleepNs(t.tRpNs);
-    return p;
+    return rowSession(cfg, b, row, [&](Program &p) {
+        for (const auto c : cols)
+            p.wr(b, c, rd_data);
+    });
 }
 
 Program
@@ -330,13 +338,10 @@ Host::makeReadColumnsProgram(const dram::DeviceConfig &cfg,
                              dram::BankId b, dram::RowAddr row,
                              const std::vector<dram::ColAddr> &cols)
 {
-    const auto &t = cfg.timing;
-    Program p;
-    p.act(b, row).sleepNs(t.tRcdNs);
-    for (const auto c : cols)
-        p.rd(b, c);
-    p.sleepNs(t.tRasNs).pre(b).sleepNs(t.tRpNs);
-    return p;
+    return rowSession(cfg, b, row, [&](Program &p) {
+        for (const auto c : cols)
+            p.rd(b, c);
+    });
 }
 
 Program

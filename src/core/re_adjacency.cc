@@ -64,7 +64,7 @@ AdjacencyMapper::probe(dram::RowAddr aggressor)
 
 bool
 AdjacencyMapper::schemeConsistent(
-    dram::RowRemapScheme scheme, dram::RowAddr block_base,
+    dram::RowRemapScheme scheme,
     const std::vector<AdjacencyProbe> &probes) const
 {
     for (const auto &p : probes) {
@@ -78,7 +78,6 @@ AdjacencyMapper::schemeConsistent(
         if (expect != p.neighbors)
             return false;
     }
-    (void)block_base;
     return true;
 }
 
@@ -93,7 +92,7 @@ AdjacencyMapper::detectRemapScheme(dram::RowAddr block_base)
 
     for (auto scheme :
          {dram::RowRemapScheme::None, dram::RowRemapScheme::MfrA8Blk}) {
-        if (schemeConsistent(scheme, block_base, probes))
+        if (schemeConsistent(scheme, probes))
             return scheme;
     }
     warn("detectRemapScheme: no known scheme matches; assuming None");

@@ -61,7 +61,6 @@ class AdjacencyMapper
   private:
     /** True when @p scheme predicts all measured neighbour sets. */
     bool schemeConsistent(dram::RowRemapScheme scheme,
-                          dram::RowAddr block_base,
                           const std::vector<AdjacencyProbe> &probes) const;
 
     bender::Host &host_;

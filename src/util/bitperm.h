@@ -68,9 +68,12 @@ class BitPermutation
     BitPermutation
     inverse() const
     {
+        // Each single-bit entry holds one set bit, so the mask changes
+        // nothing; it shows the compiler the index is below 64.
         std::array<uint8_t, 64> src{};
         for (unsigned i = 0; i < bits_; ++i)
-            src[std::countr_zero(tables_[i / 4][1U << (i % 4)])] = uint8_t(i);
+            src[std::countr_zero(tables_[i / 4][1U << (i % 4)]) & 63] =
+                uint8_t(i);
         return BitPermutation(std::span(src.data(), bits_));
     }
 

@@ -1,7 +1,9 @@
 /**
  * @file
- * Command-line front end of the DRAMScope toolkit; usage() lists the
- * subcommands and the flags each one reads.
+ * Command-line front end of the DRAMScope toolkit.  Two tables define
+ * it: kFlags (every flag, and how it parses into Flags) and
+ * kSubcommands (every subcommand: its operands, its usage() line, the
+ * flags it reads and its handler); usage() and main() read both.
  *
  * `--trace=FILE` on hammer, press and rowcopy writes one JSONL record
  * ({ns, cmd, bank, row, col}) per issued command.  `--device=dimm` is
@@ -11,9 +13,10 @@
  *
  * Exit codes: 0 success; 1 a run that executed but failed (lint or
  * certification errors, metrics mismatch, quarantined shards, failed
- * AIB validation, refused resume); 2 usage errors (unknown subcommand,
- * flag, preset, catalog program, keyword, --device or --faults value,
- * malformed numbers, a flag the subcommand does not read).
+ * AIB validation, refused resume, a device fault that ended the run);
+ * 2 usage errors (unknown subcommand, flag, preset, catalog program,
+ * keyword, --device or --faults value, malformed numbers, a flag the
+ * subcommand does not read, too few or too many operands).
  */
 
 #include <algorithm>
@@ -21,10 +24,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -87,6 +89,15 @@ struct Flags
     double powerWindowNs = 0.0;  //!< --power-window-ns (<=0 = device).
 };
 
+/** A checked command line, as a subcommand's handler receives it. */
+struct Invocation
+{
+    std::string name;               //!< The subcommand.
+    std::vector<std::string> args;  //!< Its operands; args[0] is the preset.
+    dram::DeviceConfig cfg;         //!< The preset's configuration.
+    Flags flags;
+};
+
 /**
  * The --power-window-ns range: at least one tick of the linter's
  * picosecond clock, and a picosecond count that fits its int64.
@@ -136,6 +147,17 @@ parseOrExit(const std::string &arg, const char *what,
         std::exit(2);
     }
     return v;
+}
+
+/**
+ * Operand @p i of @p in parsed as a @p T named @p what, or
+ * @p fallback when the command line stops before it.
+ */
+template <typename T>
+T
+operandOr(const Invocation &in, size_t i, const char *what, T fallback)
+{
+    return i < in.args.size() ? parseOrExit<T>(in.args[i], what) : fallback;
 }
 
 /**
@@ -279,114 +301,48 @@ makeDevice(const dram::DeviceConfig &cfg, const Flags &flags)
 }
 
 /**
- * The flags each subcommand reads.  Any other flag is a usage error:
- * ignoring it would pass the run off as one made with that setting
- * (a static certificate as a DIMM's, say, or one mc run as a sweep).
+ * The one device driver of the subcommands: builds the device that
+ * --device and --faults select for the preset, a host over it and,
+ * when @p trace_path is not empty, a JSONL command trace on that host,
+ * and returns `body(host)`.  A device fault ends the run with
+ * `<subcommand> run aborted by the device: <what>` on stdout and exit
+ * 1.  Either way the trace footer follows, and a failed trace write is
+ * exit 1.
  */
-const std::map<std::string, std::set<std::string>> kFlagsRead = {
-    {"list", {}},
-    {"inspect", {}},
-    {"lint", {}},
-    {"certify",
-     {"--threshold", "--power-budget-mw", "--power-window-ns", "--grid",
-      "--mitigation", "--reqs", "--seed"}},
-    {"hammer", {"--device", "--faults", "--trace"}},
-    {"press", {"--device", "--faults", "--trace"}},
-    {"rowcopy", {"--device", "--faults", "--trace"}},
-    {"retention", {"--device", "--faults"}},
-    {"report", {"--device", "--faults"}},
-    {"stats", {"--device", "--faults"}},
-    {"sweep",
-     {"--device", "--faults", "--jobs", "--seed",
-      "--retries", "--timeout-ms", "--checkpoint", "--resume"}},
-    {"mc",
-     {"--device", "--faults", "--workload", "--policy",
-      "--mitigation", "--refresh-interval-ns", "--reqs", "--seed",
-      "--trace", "--dump-trace"}},
-    {"mcsweep",
-     {"--device", "--faults", "--jobs", "--seed",
-      "--retries", "--timeout-ms", "--checkpoint", "--resume", "--reqs",
-      "--mitigation"}},
-};
-
+template <typename Body>
 int
-usage()
+runOnDevice(const Invocation &in, const std::string &trace_path,
+            const Body &body)
 {
-    std::fprintf(
-        stderr,
-        "usage: dramscope_cli <command> [args]\n"
-        "  list                          preset registry\n"
-        "  inspect <preset>              configuration summary\n"
-        "  hammer <preset> <row> <n>     RowHammer attack report\n"
-        "  press <preset> <row> <n>      RowPress attack report\n"
-        "  rowcopy <preset> <src> <dst>  RowCopy probe\n"
-        "  retention <preset>            retention survival curve\n"
-        "  report <preset>               reverse-engineering pipeline\n"
-        "  stats <preset> [row] [n]      command metrics of a hammer "
-        "workload\n"
-        "  lint <preset> [name]          static analysis of built-in "
-        "programs\n"
-        "  certify <preset> [name]       static exposure/energy "
-        "certification (no execution)\n"
-        "  sweep <preset> [shards] [n]   resilient BER sweep\n"
-        "  mc <preset>                   scheduled traffic through the "
-        "memory controller\n"
-        "  mcsweep <preset>              resilient policy x workload "
-        "mc sweep\n"
-        "hammer/press/rowcopy accept --trace=FILE (JSONL command "
-        "trace)\n"
-        "device commands (hammer, press, rowcopy, retention, report, "
-        "stats, sweep, mc, mcsweep) accept:\n"
-        "  --device=chip|dimm|hbm[:channel]   backend (default chip; "
-        "sweep/mcsweep: chip|dimm)\n"
-        "  --faults=SPEC                      fault injection (see "
-        "docs/RESILIENCE.md)\n"
-        "  (lint and certify run no device and take none of these)\n"
-        "sweep/mcsweep accept --jobs=N --seed=S --retries=K "
-        "--timeout-ms=T --checkpoint=FILE --resume\n"
-        "mc accepts --workload=%s --policy=%s --reqs=N --seed=S\n"
-        "  --mitigation=%s --refresh-interval-ns=T (<0 config tREFI, 0 "
-        "off)\n"
-        "  --trace=FILE (replay a JSONL address trace) "
-        "--dump-trace=FILE (record the stream); mcsweep accepts "
-        "--reqs=N\n"
-        "  and --mitigation=<kind>|all (adds a mitigation axis to the "
-        "grid)\n"
-        "certify accepts --threshold=N --power-budget-mw=X "
-        "--power-window-ns=X (defaults from the device), and --grid\n"
-        "  to certify the mc workload x policy x mitigation grid "
-        "(--mitigation=<kind>|all, --reqs=N, --seed=S)\n"
-        "a flag the command does not read is a usage error\n"
-        "see docs/MC.md for the policy and mitigation tables, "
-        "docs/LINT_RULES.md for the rule registry\n",
-        registry::ids(mc::workloadTable()).c_str(),
-        registry::ids(mc::policyTable()).c_str(),
-        registry::ids(core::mitigationTable()).c_str());
-    return 2;
-}
-
-/**
- * Opens a JSONL trace sink and attaches it to @p host when
- * @p trace_path is non-empty.  Returns nullptr (and leaves the host
- * untraced) when tracing is off; exits on an unopenable path.
- */
-std::unique_ptr<obs::JsonlWriter>
-maybeAttachTrace(bender::Host &host, const std::string &trace_path)
-{
-    if (trace_path.empty())
-        return nullptr;
-    auto writer = std::make_unique<obs::JsonlWriter>(trace_path);
-    if (!writer->ok()) {
-        std::fprintf(stderr, "error: cannot open trace file %s\n",
-                     trace_path.c_str());
-        std::exit(1);
+    auto dut = makeDevice(in.cfg, in.flags);
+    bender::Host host(*dut.dev);
+    std::unique_ptr<obs::JsonlWriter> trace;
+    if (!trace_path.empty()) {
+        trace = std::make_unique<obs::JsonlWriter>(trace_path);
+        if (!trace->ok()) {
+            std::fprintf(stderr, "error: cannot open trace file %s\n",
+                         trace_path.c_str());
+            return 1;
+        }
+        host.setTrace(trace.get());
     }
-    host.setTrace(writer.get());
-    return writer;
+    int rc = 1;
+    try {
+        rc = body(host);
+    } catch (const dram::FaultError &e) {
+        std::printf("%s run aborted by the device: %s\n", in.name.c_str(),
+                    e.what());
+    }
+    if (trace) {
+        std::printf("trace: %llu commands -> %s\n",
+                    (unsigned long long)trace->written(),
+                    trace_path.c_str());
+    }
+    return trace && trace->failed() ? 1 : rc;
 }
 
 int
-cmdList()
+cmdList(const Invocation &)
 {
     Table t({"Preset", "Vendor", "Type", "Width", "Year", "Chips"});
     for (const auto &info : dram::presetTable()) {
@@ -401,9 +357,9 @@ cmdList()
 }
 
 int
-cmdInspect(const std::string &preset)
+cmdInspect(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
+    const auto &cfg = in.cfg;
     std::printf("%s: %s %s %s (%d)\n", cfg.name.c_str(),
                 dram::toString(cfg.vendor), dram::toString(cfg.type),
                 dram::toString(cfg.width), cfg.year);
@@ -437,154 +393,140 @@ cmdInspect(const std::string &preset)
     return 0;
 }
 
+/** hammer and press: one aggressor row, reported with its ±4 rows. */
 int
-cmdAttack(const std::string &preset, dram::RowAddr aggr, uint64_t count,
-          bool press, const Flags &flags)
+cmdAttack(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
-    checkRowsOrExit(cfg, "row", aggr, 4, 4);
-    auto dut = makeDevice(cfg, flags);
-    bender::Host host(*dut.dev);
-    const auto trace = maybeAttachTrace(host, flags.trace);
+    const auto aggr = parseOrExit<dram::RowAddr>(in.args[1], "row");
+    const auto count = parseOrExit<uint64_t>(in.args[2], "count");
+    const bool press = in.name == "press";
+    checkRowsOrExit(in.cfg, "row", aggr, 4, 4);
+    return runOnDevice(in, in.flags.trace, [&](bender::Host &host) {
+        // Probe a wide window: internal remapping can place the
+        // physical neighbours several logical rows away (common
+        // pitfall 2).
+        for (int d = -4; d <= 4; ++d) {
+            if (d != 0)
+                host.writeRowPattern(0, dram::RowAddr(int64_t(aggr) + d),
+                                     ~0ULL);
+        }
+        host.writeRowPattern(0, aggr, 0);
+        if (press)
+            host.press(0, aggr, count);
+        else
+            host.hammer(0, aggr, count);
 
-    // Probe a wide window: internal remapping can place the physical
-    // neighbours several logical rows away (common pitfall 2).
-    for (int d = -4; d <= 4; ++d) {
-        if (d != 0)
-            host.writeRowPattern(0, dram::RowAddr(int64_t(aggr) + d),
-                                 ~0ULL);
-    }
-    host.writeRowPattern(0, aggr, 0);
-    if (press)
-        host.press(0, aggr, count);
-    else
-        host.hammer(0, aggr, count);
-
-    Table t({"Row", "Bitflips", "BER"});
-    for (int d = -4; d <= 4; ++d) {
-        if (d == 0)
-            continue;
-        const auto row = dram::RowAddr(int64_t(aggr) + d);
-        const BitVec bits = host.readRowBits(0, row);
-        const size_t flips = bits.size() - bits.popcount();
-        t.addRow({Table::num(uint64_t(row)), Table::num(uint64_t(flips)),
-                  Table::num(double(flips) / double(bits.size()), 3)});
-    }
-    t.print();
-    std::printf("(%s, %llu activations, single-sided; victims held "
-                "all-ones)\n",
-                press ? "RowPress" : "RowHammer",
-                (unsigned long long)count);
-    if (trace) {
-        std::printf("trace: %llu commands -> %s\n",
-                    (unsigned long long)trace->written(),
-                    flags.trace.c_str());
-    }
-    return trace && trace->failed() ? 1 : 0;
+        Table t({"Row", "Bitflips", "BER"});
+        for (int d = -4; d <= 4; ++d) {
+            if (d == 0)
+                continue;
+            const auto row = dram::RowAddr(int64_t(aggr) + d);
+            const BitVec bits = host.readRowBits(0, row);
+            const size_t flips = bits.size() - bits.popcount();
+            t.addRow({Table::num(uint64_t(row)),
+                      Table::num(uint64_t(flips)),
+                      Table::num(double(flips) / double(bits.size()), 3)});
+        }
+        t.print();
+        std::printf("(%s, %llu activations, single-sided; victims held "
+                    "all-ones)\n",
+                    press ? "RowPress" : "RowHammer",
+                    (unsigned long long)count);
+        return 0;
+    });
 }
 
 int
-cmdRowCopy(const std::string &preset, dram::RowAddr src,
-           dram::RowAddr dst, const Flags &flags)
+cmdRowCopy(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
-    checkRowsOrExit(cfg, "src row", src, 0, 0);
-    checkRowsOrExit(cfg, "dst row", dst, 0, 0);
-    auto dut = makeDevice(cfg, flags);
-    bender::Host host(*dut.dev);
-    const auto trace = maybeAttachTrace(host, flags.trace);
-    core::SubarrayMapper mapper(host);
-    bool inverted = false;
-    const auto outcome = mapper.probeCopy(src, dst, &inverted);
-    const char *label = outcome == core::CopyOutcome::Full   ? "FULL"
-                        : outcome == core::CopyOutcome::Half ? "HALF"
-                                                             : "NONE";
-    std::printf("RowCopy %u -> %u: %s copy%s\n", src, dst, label,
-                outcome != core::CopyOutcome::None
-                    ? (inverted ? " (data inverted)" : " (data as-is)")
-                    : "");
-    if (trace) {
-        std::printf("trace: %llu commands -> %s\n",
-                    (unsigned long long)trace->written(),
-                    flags.trace.c_str());
-    }
-    return trace && trace->failed() ? 1 : 0;
+    const auto src = parseOrExit<dram::RowAddr>(in.args[1], "src row");
+    const auto dst = parseOrExit<dram::RowAddr>(in.args[2], "dst row");
+    checkRowsOrExit(in.cfg, "src row", src, 0, 0);
+    checkRowsOrExit(in.cfg, "dst row", dst, 0, 0);
+    return runOnDevice(in, in.flags.trace, [&](bender::Host &host) {
+        core::SubarrayMapper mapper(host);
+        bool inverted = false;
+        const auto outcome = mapper.probeCopy(src, dst, &inverted);
+        const char *label = outcome == core::CopyOutcome::Full   ? "FULL"
+                            : outcome == core::CopyOutcome::Half ? "HALF"
+                                                                 : "NONE";
+        std::printf("RowCopy %u -> %u: %s copy%s\n", src, dst, label,
+                    outcome != core::CopyOutcome::None
+                        ? (inverted ? " (data inverted)" : " (data as-is)")
+                        : "");
+        return 0;
+    });
 }
 
 int
-cmdStats(const std::string &preset, dram::RowAddr aggr, uint64_t count,
-         const Flags &flags)
+cmdStats(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
-    checkRowsOrExit(cfg, "row", aggr, 0, 1);
-    auto dut = makeDevice(cfg, flags);
-    bender::Host host(*dut.dev);
-    obs::MetricsRegistry metrics;
-    host.setMetrics(&metrics);
+    const auto aggr = operandOr(in, 1, "row", dram::RowAddr(1000));
+    const auto count = operandOr(in, 2, "count", uint64_t(10000));
+    checkRowsOrExit(in.cfg, "row", aggr, 0, 1);
+    return runOnDevice(in, {}, [&](bender::Host &host) {
+        obs::MetricsRegistry metrics;
+        host.setMetrics(&metrics);
 
-    // A representative workload: prepare a victim/aggressor pair,
-    // hammer, read the victim back.
-    host.writeRowPattern(0, aggr + 1, ~0ULL);
-    host.writeRowPattern(0, aggr, 0);
-    const auto before = metrics.snapshot();
-    const auto res = host.hammer(0, aggr, count);
-    const auto after = metrics.snapshot();
-    host.readRow(0, aggr + 1);
+        // A representative workload: prepare a victim/aggressor pair,
+        // hammer, read the victim back.
+        host.writeRowPattern(0, aggr + 1, ~0ULL);
+        host.writeRowPattern(0, aggr, 0);
+        const auto before = metrics.snapshot();
+        const auto res = host.hammer(0, aggr, count);
+        const auto after = metrics.snapshot();
+        host.readRow(0, aggr + 1);
 
-    const auto snap = metrics.snapshot();
-    Table t({"Metric", "Value"});
-    for (const auto &[name, value] : snap.counters)
-        t.addRow({name, Table::num(value)});
-    for (const auto &[name, hist] : snap.histograms) {
-        t.addRow({name + " (samples)", Table::num(hist.total)});
-    }
-    t.print();
+        const auto snap = metrics.snapshot();
+        Table t({"Metric", "Value"});
+        for (const auto &[name, value] : snap.counters)
+            t.addRow({name, Table::num(value)});
+        for (const auto &[name, hist] : snap.histograms)
+            t.addRow({name + " (samples)", Table::num(hist.total)});
+        t.print();
 
-    // The counter deltas across the hammer must equal the commands
-    // the executor reports — the cross-check the trace/metrics layer
-    // is built to make possible.
-    uint64_t delta = 0;
-    for (const auto *key :
-         {"cmd.act", "cmd.pre", "cmd.rd", "cmd.wr", "cmd.ref"}) {
-        delta += after.counterOr0(key) - before.counterOr0(key);
-    }
-    std::printf("%s\n", snap.commandSummary().c_str());
-    std::printf("hammer ACT delta %llu, commandsIssued %llu: %s\n",
-                (unsigned long long)(after.counterOr0("cmd.act") -
-                                     before.counterOr0("cmd.act")),
-                (unsigned long long)res.commandsIssued,
-                delta == res.commandsIssued ? "consistent"
-                                            : "MISMATCH");
-    return delta == res.commandsIssued ? 0 : 1;
+        // The counter deltas across the hammer must equal the commands
+        // the executor reports — the cross-check the trace/metrics
+        // layer is built to make possible.
+        uint64_t delta = 0;
+        for (const auto *key :
+             {"cmd.act", "cmd.pre", "cmd.rd", "cmd.wr", "cmd.ref"}) {
+            delta += after.counterOr0(key) - before.counterOr0(key);
+        }
+        std::printf("%s\n", snap.commandSummary().c_str());
+        std::printf("hammer ACT delta %llu, commandsIssued %llu: %s\n",
+                    (unsigned long long)(after.counterOr0("cmd.act") -
+                                         before.counterOr0("cmd.act")),
+                    (unsigned long long)res.commandsIssued,
+                    delta == res.commandsIssued ? "consistent"
+                                                : "MISMATCH");
+        return delta == res.commandsIssued ? 0 : 1;
+    });
 }
 
 /**
- * The catalog program named by the third argument of @p args, or
- * nullptr (the whole catalog) when there is none.
+ * The catalog program named by the operand after the preset, or the
+ * whole catalog when there is none, built for the preset.
  */
-const core::ProgramInfo *
-programOrExit(const std::vector<std::string> &args)
+std::vector<core::NamedProgram>
+catalogOrExit(const Invocation &in)
 {
-    return args.size() > 2
-               ? &keywordOrExit(core::programTable(), args[2], "program")
-               : nullptr;
+    if (in.args.size() < 2)
+        return core::builtinPrograms(in.cfg);
+    return {core::builtinProgram(
+        in.cfg,
+        keywordOrExit(core::programTable(), in.args[1], "program").program)};
 }
 
 int
-cmdLint(const std::string &preset, const core::ProgramInfo *program)
+cmdLint(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
-    std::vector<core::NamedProgram> programs;
-    if (program == nullptr)
-        programs = core::builtinPrograms(cfg);
-    else
-        programs.push_back(core::builtinProgram(cfg, program->program));
-
+    const auto programs = catalogOrExit(in);
     Table t({"Program", "Slot", "Rule", "Severity", "Message"});
     size_t unexpected_errors = 0;
     size_t clean = 0;
     for (const auto &entry : programs) {
-        const auto report = bender::lint::lint(entry.prog, cfg);
+        const auto report = bender::lint::lint(entry.prog, in.cfg);
         if (report.diags.empty())
             ++clean;
         for (const auto &d : report.diags) {
@@ -612,10 +554,10 @@ cmdLint(const std::string &preset, const core::ProgramInfo *program)
  * export path.  Nothing executes on a device.
  */
 int
-cmdCertify(const std::string &preset, const core::ProgramInfo *program,
-           const Flags &flags)
+cmdCertify(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
+    const Flags &flags = in.flags;
+    const auto &cfg = in.cfg;
     bender::lint::CertifyOptions copts;
     copts.exposureThreshold = flags.threshold;
     copts.powerBudgetMw = flags.powerBudgetMw;
@@ -638,10 +580,8 @@ cmdCertify(const std::string &preset, const core::ProgramInfo *program,
                      core::mitigationId(cell.mitigation),
                  "mc", std::move(result.program)});
         }
-    } else if (program == nullptr) {
-        units = core::builtinPrograms(cfg);
     } else {
-        units.push_back(core::builtinProgram(cfg, program->program));
+        units = catalogOrExit(in);
     }
 
     Table t({"Program", "Bound", "Hot bank/row", "Exact", "Energy (pJ)",
@@ -688,71 +628,70 @@ cmdCertify(const std::string &preset, const core::ProgramInfo *program,
 }
 
 int
-cmdRetention(const std::string &preset, const Flags &flags)
+cmdRetention(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
-    auto dut = makeDevice(cfg, flags);
-    bender::Host host(*dut.dev);
-    core::RetentionProfiler profiler(host);
-    const auto profile = profiler.profile();
-    Table t({"Wait (ms)", "Decayed", "Tested", "Fraction"});
-    for (const auto &p : profile.curve) {
-        t.addRow({Table::num(p.waitMs, 5), Table::num(p.decayed),
-                  Table::num(p.tested), Table::num(p.fraction(), 3)});
-    }
-    t.print();
-    std::printf("median retention: %.0f ms; weak cells (<= %0.0f ms): "
-                "%zu\n",
-                profile.medianMs, 500.0, profile.weakCells.size());
-    return 0;
+    return runOnDevice(in, {}, [](bender::Host &host) {
+        core::RetentionProfiler profiler(host);
+        const auto profile = profiler.profile();
+        Table t({"Wait (ms)", "Decayed", "Tested", "Fraction"});
+        for (const auto &p : profile.curve) {
+            t.addRow({Table::num(p.waitMs, 5), Table::num(p.decayed),
+                      Table::num(p.tested), Table::num(p.fraction(), 3)});
+        }
+        t.print();
+        std::printf("median retention: %.0f ms; weak cells (<= %0.0f "
+                    "ms): %zu\n",
+                    profile.medianMs, 500.0, profile.weakCells.size());
+        return 0;
+    });
 }
 
 int
-cmdReport(const std::string &preset, const Flags &flags)
+cmdReport(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
-    auto dut = makeDevice(cfg, flags);
-    bender::Host host(*dut.dev);
+    return runOnDevice(in, {}, [&](bender::Host &host) {
+        std::printf("reverse-engineering %s ...\n", in.args[0].c_str());
+        core::AdjacencyMapper adjacency(host);
+        const auto scheme = adjacency.detectRemapScheme(1024);
+        std::printf("  remap: %s\n",
+                    scheme == dram::RowRemapScheme::None ? "none"
+                                                         : "Mfr.A 8-blk");
 
-    std::printf("reverse-engineering %s ...\n", preset.c_str());
-    core::AdjacencyMapper adjacency(host);
-    const auto scheme = adjacency.detectRemapScheme(1024);
-    std::printf("  remap: %s\n",
-                scheme == dram::RowRemapScheme::None ? "none"
-                                                     : "Mfr.A 8-blk");
+        core::SubarrayOptions sopts;
+        sopts.rowRemap = scheme;
+        core::SubarrayMapper subarrays(host, sopts);
+        const auto d = subarrays.discoverFirstSection();
+        std::printf("  heights:");
+        for (const auto h : d.heights)
+            std::printf(" %u", h);
+        std::printf("\n  edge section: %u rows; edge pair: %s; copies "
+                    "%sinverted\n",
+                    d.sectionRows, d.edgePairConfirmed ? "yes" : "no",
+                    d.copyInvertsData ? "" : "NOT ");
+        const bool aib_ok =
+            subarrays.aibCrossCheckBoundary(d.heights.at(0));
+        std::printf("  AIB validation of first boundary: %s\n",
+                    aib_ok ? "confirmed" : "FAILED");
 
-    core::SubarrayOptions sopts;
-    sopts.rowRemap = scheme;
-    core::SubarrayMapper subarrays(host, sopts);
-    const auto d = subarrays.discoverFirstSection();
-    std::printf("  heights:");
-    for (const auto h : d.heights)
-        std::printf(" %u", h);
-    std::printf("\n  edge section: %u rows; edge pair: %s; copies "
-                "%sinverted\n",
-                d.sectionRows, d.edgePairConfirmed ? "yes" : "no",
-                d.copyInvertsData ? "" : "NOT ");
-    const bool aib_ok = subarrays.aibCrossCheckBoundary(d.heights.at(0));
-    std::printf("  AIB validation of first boundary: %s\n",
-                aib_ok ? "confirmed" : "FAILED");
+        core::CoupledOptions copts;
+        copts.probeRow = 1200;
+        core::CoupledRowDetector coupled(host, copts);
+        const auto distance = coupled.detect();
+        std::printf("  coupled distance: %s\n",
+                    distance ? Table::num(uint64_t(*distance)).c_str()
+                             : "none");
 
-    core::CoupledOptions copts;
-    copts.probeRow = 1200;
-    core::CoupledRowDetector coupled(host, copts);
-    const auto distance = coupled.detect();
-    std::printf("  coupled distance: %s\n",
-                distance ? Table::num(uint64_t(*distance)).c_str()
-                         : "none");
-
-    core::CellTypeClassifier polarity(host);
-    const auto pol =
-        polarity.classify({d.heights.at(0) / 2,
-                           d.heights.at(0) + d.heights.at(1) / 2});
-    std::printf("  polarity: %s\n",
-                pol.mixed ? "true/anti interleaved" : "all true");
-    // A failed AIB cross-check means the discovered layout is wrong —
-    // scripted pipelines must see that as a failure, not exit 0.
-    return aib_ok ? 0 : 1;
+        core::CellTypeClassifier polarity(host);
+        const auto pol =
+            polarity.classify({d.heights.at(0) / 2,
+                               d.heights.at(0) + d.heights.at(1) / 2});
+        std::printf("  polarity: %s\n",
+                    pol.mixed ? "true/anti interleaved" : "all true");
+        // A failed AIB cross-check means the discovered layout is
+        // wrong — scripted pipelines must see that as a failure, not
+        // exit 0.
+        return aib_ok ? 0 : 1;
+    });
 }
 
 /**
@@ -764,16 +703,14 @@ cmdReport(const std::string &preset, const Flags &flags)
  */
 struct SweepCommand
 {
-    SweepCommand(const char *name_arg, const std::string &preset,
-                 const Flags &flags_arg)
-        : name(name_arg), flags(flags_arg), cfg(dram::makePreset(preset)),
-          faults(parseFaultsOrExit(flags.faults))
+    explicit SweepCommand(const Invocation &in_arg)
+        : in(in_arg), faults(parseFaultsOrExit(in.flags.faults))
     {
-        if (!flags.device.empty() && flags.device != "chip" &&
-            flags.device != "dimm") {
+        if (!in.flags.device.empty() && in.flags.device != "chip" &&
+            in.flags.device != "dimm") {
             std::fprintf(stderr,
                          "error: %s supports --device=chip|dimm only\n",
-                         name);
+                         in.name.c_str());
             std::exit(2);
         }
     }
@@ -792,7 +729,7 @@ struct SweepCommand
         std::initializer_list<std::string_view> metric_prefixes,
         const Call &call) const
     {
-        auto dut = makeDevice(cfg, flags);
+        auto dut = makeDevice(in.cfg, in.flags);
         bender::Host host(*dut.dev);
         obs::MetricsRegistry metrics;
         host.setMetrics(&metrics);
@@ -800,16 +737,17 @@ struct SweepCommand
         // from the one the runner passes: a Dimm's config() is the rank
         // view, which cannot rebuild the rank.
         core::SweepRunner runner(
-            host, core::SweepOptions(flags.jobs, flags.seed,
+            host, core::SweepOptions(in.flags.jobs, in.flags.seed,
                                      [this](const dram::DeviceConfig &) {
-                                         return makeDevice(cfg, flags).owned;
+                                         return makeDevice(in.cfg, in.flags)
+                                             .owned;
                                      }));
 
         core::ResilienceOptions ropts;
-        ropts.retry.maxAttempts = flags.retries ? flags.retries : 1;
-        ropts.shardTimeoutMs = flags.timeoutMs;
-        ropts.checkpointPath = flags.checkpoint;
-        ropts.resume = flags.resume;
+        ropts.retry.maxAttempts = in.flags.retries ? in.flags.retries : 1;
+        ropts.shardTimeoutMs = in.flags.timeoutMs;
+        ropts.checkpointPath = in.flags.checkpoint;
+        ropts.resume = in.flags.resume;
         ropts.tag = tag;
         core::SweepReport report;
         try {
@@ -834,7 +772,7 @@ struct SweepCommand
         }
         std::printf("%s %llu shards: %llu executed, %llu resumed, "
                     "%llu retried, %llu quarantined, %llu timeout\n",
-                    name, (unsigned long long)report.shards.size(),
+                    in.name.c_str(), (unsigned long long)report.shards.size(),
                     (unsigned long long)report.executed,
                     (unsigned long long)report.resumed,
                     (unsigned long long)report.retries,
@@ -851,9 +789,7 @@ struct SweepCommand
         return report.complete() ? 0 : 1;
     }
 
-    const char *name;
-    const Flags &flags;
-    const dram::DeviceConfig cfg;  //!< The preset's configuration.
+    const Invocation &in;
     const dram::FaultSpec faults;  //!< The parsed --faults spec.
 };
 
@@ -864,19 +800,20 @@ struct SweepCommand
  * fault injection.
  */
 int
-cmdSweep(const std::string &preset, uint64_t shards, uint64_t hammers,
-         const Flags &flags)
+cmdSweep(const Invocation &in)
 {
-    const SweepCommand sweep("sweep", preset, flags);
+    const auto shards = operandOr(in, 1, "shards", uint64_t(8));
+    const auto hammers = operandOr(in, 2, "count", uint64_t(200000));
+    const SweepCommand sweep(in);
     // Shard s uses aggressor row 64 + 8*s; keep the probed window
     // inside the bank.
     const uint64_t top_row = 64 + 8 * (shards ? shards - 1 : 0) + 1;
-    if (shards == 0 || top_row >= sweep.cfg.rowsPerBank) {
+    if (shards == 0 || top_row >= in.cfg.rowsPerBank) {
         std::fprintf(stderr,
                      "error: shard count %llu out of range for %s "
                      "(1..%u)\n",
-                     (unsigned long long)shards, preset.c_str(),
-                     (sweep.cfg.rowsPerBank - 66) / 8 + 1);
+                     (unsigned long long)shards, in.args[0].c_str(),
+                     (in.cfg.rowsPerBank - 66) / 8 + 1);
         return 2;
     }
 
@@ -898,7 +835,7 @@ cmdSweep(const std::string &preset, uint64_t shards, uint64_t hammers,
                       (unsigned long long)flips);
         return std::string(buf);
     };
-    return sweep.run(preset + "/" + flags.device + "/h" +
+    return sweep.run(in.args[0] + "/" + in.flags.device + "/h" +
                          std::to_string(hammers) + "/" +
                          sweep.faults.toString(),
                      {"faults.", "sweep."},
@@ -917,10 +854,10 @@ cmdSweep(const std::string &preset, uint64_t shards, uint64_t hammers,
  * Output is deterministic for fixed flags (CI diffs two runs).
  */
 int
-cmdMc(const std::string &preset, const Flags &flags)
+cmdMc(const Invocation &in)
 {
-    const auto cfg = dram::makePreset(preset);
-
+    const Flags &flags = in.flags;
+    const auto &cfg = in.cfg;
     const auto workload =
         flags.workload.empty()
             ? mc::WorkloadKind::Zipfian
@@ -972,45 +909,39 @@ cmdMc(const std::string &preset, const Flags &flags)
         }
     }
 
-    auto dut = makeDevice(cfg, flags);
-    bender::Host host(*dut.dev);
-    try {
+    // --trace is the address trace read above, not a command trace.
+    return runOnDevice(in, {}, [&](bender::Host &host) {
         host.run(result.program);
-    } catch (const std::exception &e) {
-        std::printf("mc run aborted by the device: %s\n", e.what());
-        return 1;
-    }
-
-    const auto &st = result.stats;
-    // The mitigation field appears only when one is active, so
-    // `--mitigation=none` output stays byte-identical to the
-    // pre-mitigation CLI.
-    std::string mit_field;
-    if (mitigation != core::MitigationKind::None)
-        mit_field =
-            std::string("mitigation=") + core::mitigationId(mitigation) +
-            " ";
-    std::printf("mc %s workload=%s policy=%s %s%s\n", preset.c_str(),
-                flags.trace.empty() ? mc::workloadId(workload) : "trace",
-                mc::policyId(policy), mit_field.c_str(),
-                st.summary().c_str());
-    Table t({"Bank", "ACTs", "Hits", "Misses", "Conflicts"});
-    for (size_t b = 0; b < st.bankActs.size(); ++b) {
-        t.addRow({Table::num(uint64_t(b)), Table::num(st.bankActs[b]),
-                  Table::num(st.bankHits[b]),
-                  Table::num(st.bankMisses[b]),
-                  Table::num(st.bankConflicts[b])});
-    }
-    t.print();
-    std::printf("lint: %s; device violations: %llu\n",
-                unexpected == 0 ? "clean"
-                                : "UNEXPECTED DIAGNOSTICS",
-                (unsigned long long)dut.dev->violationCount());
-    if (!flags.dumpTrace.empty()) {
-        std::printf("trace: %zu requests -> %s\n", reqs.size(),
-                    flags.dumpTrace.c_str());
-    }
-    return unexpected == 0 ? 0 : 1;
+        const auto &st = result.stats;
+        // The mitigation field appears only when one is active, so
+        // `--mitigation=none` output stays byte-identical to the
+        // pre-mitigation CLI.
+        std::string mit_field;
+        if (mitigation != core::MitigationKind::None)
+            mit_field = std::string("mitigation=") +
+                        core::mitigationId(mitigation) + " ";
+        std::printf("mc %s workload=%s policy=%s %s%s\n",
+                    in.args[0].c_str(),
+                    flags.trace.empty() ? mc::workloadId(workload) : "trace",
+                    mc::policyId(policy), mit_field.c_str(),
+                    st.summary().c_str());
+        Table t({"Bank", "ACTs", "Hits", "Misses", "Conflicts"});
+        for (size_t b = 0; b < st.bankActs.size(); ++b) {
+            t.addRow({Table::num(uint64_t(b)), Table::num(st.bankActs[b]),
+                      Table::num(st.bankHits[b]),
+                      Table::num(st.bankMisses[b]),
+                      Table::num(st.bankConflicts[b])});
+        }
+        t.print();
+        std::printf("lint: %s; device violations: %llu\n",
+                    unexpected == 0 ? "clean" : "UNEXPECTED DIAGNOSTICS",
+                    (unsigned long long)host.device().violationCount());
+        if (!flags.dumpTrace.empty()) {
+            std::printf("trace: %zu requests -> %s\n", reqs.size(),
+                        flags.dumpTrace.c_str());
+        }
+        return unexpected == 0 ? 0 : 1;
+    });
 }
 
 /**
@@ -1020,15 +951,16 @@ cmdMc(const std::string &preset, const Flags &flags)
  * stays byte-identical to the unmitigated sweep).
  */
 int
-cmdMcSweep(const std::string &preset, const Flags &flags)
+cmdMcSweep(const Invocation &in)
 {
-    const SweepCommand sweep("mcsweep", preset, flags);
+    const Flags &flags = in.flags;
+    const SweepCommand sweep(in);
     mc::McSweepOptions mopt;
     mopt.requests = flags.reqs;
     mopt.seed = flags.seed;
     mopt.mitigations = parseMitigationsOrExit(flags.mitigation, "mcsweep");
 
-    std::string tag = "mc/" + preset + "/" + flags.device + "/r" +
+    std::string tag = "mc/" + in.args[0] + "/" + flags.device + "/r" +
                       std::to_string(flags.reqs) + "/" +
                       sweep.faults.toString();
     // Only non-default axes change the tag, so pre-mitigation
@@ -1042,156 +974,257 @@ cmdMcSweep(const std::string &preset, const Flags &flags)
                      });
 }
 
+/**
+ * The setter of a flag that fills Flags::*Field: a bool is set by the
+ * bare flag, a string takes the value as given, and a number goes
+ * through parseOrExit, named @p what, over its type's range or over
+ * Range (max, min).
+ */
+template <auto Field, auto... Range>
+void
+setField(Flags &flags, const std::string &value, const char *what)
+{
+    auto &field = flags.*Field;
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, bool>)
+        field = true;
+    else if constexpr (std::is_same_v<T, std::string>)
+        field = value;
+    else
+        field = parseOrExit<T>(value, what, Range...);
+}
+
+/** One command-line flag. */
+struct FlagDef
+{
+    /** `--name=` for a flag with a value, `--name` for a bare one. */
+    std::string_view name;
+    /** Parses the text after name into Flags; what is name sans '='. */
+    void (*set)(Flags &flags, const std::string &value, const char *what);
+};
+
+/** Every flag.  Unknown flags are usage errors (see main()). */
+constexpr FlagDef kFlags[] = {
+    {"--trace=", setField<&Flags::trace>},
+    {"--device=", setField<&Flags::device>},
+    {"--faults=", setField<&Flags::faults>},
+    {"--checkpoint=", setField<&Flags::checkpoint>},
+    {"--resume", setField<&Flags::resume>},
+    {"--jobs=", setField<&Flags::jobs>},
+    {"--seed=", setField<&Flags::seed>},
+    {"--retries=", setField<&Flags::retries>},
+    {"--timeout-ms=", setField<&Flags::timeoutMs>},
+    {"--workload=", setField<&Flags::workload>},
+    {"--policy=", setField<&Flags::policy>},
+    {"--mitigation=", setField<&Flags::mitigation>},
+    {"--dump-trace=", setField<&Flags::dumpTrace>},
+    {"--reqs=", setField<&Flags::reqs>},
+    {"--refresh-interval-ns=", setField<&Flags::refreshIntervalNs>},
+    {"--grid", setField<&Flags::grid>},
+    {"--threshold=", setField<&Flags::threshold>},
+    {"--power-budget-mw=", setField<&Flags::powerBudgetMw>},
+    {"--power-window-ns=", setField<&Flags::powerWindowNs, kMaxPowerWindowNs,
+                                    kMinPowerWindowNs>},
+};
+
+/** One subcommand. */
+struct Subcommand
+{
+    std::string_view name;
+    /** Its operands, `<x>` required and `[x]` optional, in order. */
+    std::string_view synopsis;
+    std::string_view summary;  //!< Its usage() line.
+    /**
+     * The flags it reads, space-separated.  Any other flag is a usage
+     * error: ignoring it would pass the run off as one made with that
+     * setting (a static certificate as a DIMM's, say, or one mc run as
+     * a sweep).
+     */
+    std::string_view reads;
+    int (*run)(const Invocation &in);
+};
+
+/** Every subcommand, in usage() order. */
+constexpr Subcommand kSubcommands[] = {
+    {"list", "", "preset registry", "", cmdList},
+    {"inspect", "<preset>", "configuration summary", "", cmdInspect},
+    {"hammer", "<preset> <row> <n>", "RowHammer attack report",
+     "--device --faults --trace", cmdAttack},
+    {"press", "<preset> <row> <n>", "RowPress attack report",
+     "--device --faults --trace", cmdAttack},
+    {"rowcopy", "<preset> <src> <dst>", "RowCopy probe",
+     "--device --faults --trace", cmdRowCopy},
+    {"retention", "<preset>", "retention survival curve",
+     "--device --faults", cmdRetention},
+    {"report", "<preset>", "reverse-engineering pipeline",
+     "--device --faults", cmdReport},
+    {"stats", "<preset> [row] [n]", "command metrics of a hammer workload",
+     "--device --faults", cmdStats},
+    {"lint", "<preset> [name]", "static analysis of built-in programs", "",
+     cmdLint},
+    {"certify", "<preset> [name]",
+     "static exposure/energy certification (no execution)",
+     "--threshold --power-budget-mw --power-window-ns --grid --mitigation "
+     "--reqs --seed",
+     cmdCertify},
+    {"sweep", "<preset> [shards] [n]", "resilient BER sweep",
+     "--device --faults --jobs --seed --retries --timeout-ms --checkpoint "
+     "--resume",
+     cmdSweep},
+    {"mc", "<preset>", "scheduled traffic through the memory controller",
+     "--device --faults --workload --policy --mitigation "
+     "--refresh-interval-ns --reqs --seed --trace --dump-trace",
+     cmdMc},
+    {"mcsweep", "<preset>", "resilient policy x workload mc sweep",
+     "--device --faults --jobs --seed --retries --timeout-ms --checkpoint "
+     "--resume --reqs --mitigation",
+     cmdMcSweep},
+};
+
+/** A flag's name as given on the command line, without "=VALUE". */
+constexpr std::string_view
+flagName(const FlagDef &flag)
+{
+    return flag.name.substr(0, flag.name.find('='));
+}
+
+/** True when the space-separated list @p reads names @p flag. */
+constexpr bool
+readsFlag(std::string_view reads, std::string_view flag)
+{
+    while (!reads.empty()) {
+        const auto word = reads.substr(0, reads.find(' '));
+        if (word == flag)
+            return true;
+        reads.remove_prefix(std::min(word.size() + 1, reads.size()));
+    }
+    return false;
+}
+
+/**
+ * True when every flag a subcommand reads is in kFlags, once, and every
+ * flag in kFlags is read by some subcommand: a typo in either table
+ * would otherwise reject a valid flag at run time.
+ */
+constexpr bool
+tablesAgree()
+{
+    std::ptrdiff_t named = 0;  // Flag names in the reads lists.
+    for (const auto &sub : kSubcommands)
+        named += sub.reads.empty() ? 0 : 1 + std::ranges::count(sub.reads, ' ');
+    for (const auto &flag : kFlags) {
+        const auto readers = std::ranges::count_if(kSubcommands, [&](const auto &sub) {
+            return readsFlag(sub.reads, flagName(flag));
+        });
+        if (readers == 0)
+            return false;
+        named -= readers;
+    }
+    return named == 0;
+}
+static_assert(tablesAgree(), "kFlags and kSubcommands name other flags");
+
+int
+usage()
+{
+    std::fprintf(stderr, "usage: dramscope_cli <command> [args]\n");
+    for (const auto &sub : kSubcommands) {
+        std::string head(sub.name);
+        if (!sub.synopsis.empty())
+            head.append(" ").append(sub.synopsis);
+        std::fprintf(stderr, "  %-30s%.*s\n", head.c_str(),
+                     int(sub.summary.size()), sub.summary.data());
+    }
+    std::fprintf(
+        stderr,
+        "hammer/press/rowcopy accept --trace=FILE (JSONL command "
+        "trace)\n"
+        "device commands (hammer, press, rowcopy, retention, report, "
+        "stats, sweep, mc, mcsweep) accept:\n"
+        "  --device=chip|dimm|hbm[:channel]   backend (default chip; "
+        "sweep/mcsweep: chip|dimm)\n"
+        "  --faults=SPEC                      fault injection (see "
+        "docs/RESILIENCE.md)\n"
+        "  (lint and certify run no device and take none of these)\n"
+        "sweep/mcsweep accept --jobs=N --seed=S --retries=K "
+        "--timeout-ms=T --checkpoint=FILE --resume\n"
+        "mc accepts --workload=%s --policy=%s --reqs=N --seed=S\n"
+        "  --mitigation=%s --refresh-interval-ns=T (<0 config tREFI, 0 "
+        "off)\n"
+        "  --trace=FILE (replay a JSONL address trace) "
+        "--dump-trace=FILE (record the stream); mcsweep accepts "
+        "--reqs=N\n"
+        "  and --mitigation=<kind>|all (adds a mitigation axis to the "
+        "grid)\n"
+        "certify accepts --threshold=N --power-budget-mw=X "
+        "--power-window-ns=X (defaults from the device), and --grid\n"
+        "  to certify the mc workload x policy x mitigation grid "
+        "(--mitigation=<kind>|all, --reqs=N, --seed=S)\n"
+        "a flag the command does not read is a usage error\n"
+        "see docs/MC.md for the policy and mitigation tables, "
+        "docs/LINT_RULES.md for the rule registry\n",
+        registry::ids(mc::workloadTable()).c_str(),
+        registry::ids(mc::policyTable()).c_str(),
+        registry::ids(core::mitigationTable()).c_str());
+    return 2;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // Split flags from positional arguments.  Unknown flags are usage
-    // errors: a mistyped --resune silently ignored would rerun every
-    // shard of the checkpoint the user meant to resume.  The
-    // diagnostic names the subcommand (first positional argument) so
-    // a long scripted pipeline points at the offending invocation.
-    std::string subcommand;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]).rfind("--", 0) != 0) {
-            subcommand = argv[i];
-            break;
-        }
-    }
+    // Split flags from positional arguments (the subcommand, then its
+    // operands).  Unknown flags are usage errors: a mistyped --resune
+    // silently ignored would rerun every shard of the checkpoint the
+    // user meant to resume.  The diagnostic names the subcommand so a
+    // long scripted pipeline points at the offending invocation.
     std::vector<std::string> args;
+    std::vector<std::string> flags;
+    for (int i = 1; i < argc; ++i)
+        (std::string_view(argv[i]).starts_with("--") ? flags : args)
+            .emplace_back(argv[i]);
     std::vector<std::string> given;  // Flag names, without "=value".
-    Flags flags;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            args.push_back(arg);
-            continue;
-        }
-        given.push_back(arg.substr(0, arg.find('=')));
-        if (arg.rfind("--trace=", 0) == 0)
-            flags.trace = arg.substr(8);
-        else if (arg.rfind("--device=", 0) == 0)
-            flags.device = arg.substr(9);
-        else if (arg.rfind("--faults=", 0) == 0)
-            flags.faults = arg.substr(9);
-        else if (arg.rfind("--checkpoint=", 0) == 0)
-            flags.checkpoint = arg.substr(13);
-        else if (arg == "--resume")
-            flags.resume = true;
-        else if (arg.rfind("--jobs=", 0) == 0)
-            flags.jobs = parseOrExit<unsigned>(arg.substr(7), "--jobs");
-        else if (arg.rfind("--seed=", 0) == 0)
-            flags.seed = parseOrExit<uint64_t>(arg.substr(7), "--seed");
-        else if (arg.rfind("--retries=", 0) == 0)
-            flags.retries =
-                parseOrExit<uint32_t>(arg.substr(10), "--retries");
-        else if (arg.rfind("--timeout-ms=", 0) == 0)
-            flags.timeoutMs =
-                parseOrExit<uint64_t>(arg.substr(13), "--timeout-ms");
-        else if (arg.rfind("--workload=", 0) == 0)
-            flags.workload = arg.substr(11);
-        else if (arg.rfind("--policy=", 0) == 0)
-            flags.policy = arg.substr(9);
-        else if (arg.rfind("--mitigation=", 0) == 0)
-            flags.mitigation = arg.substr(13);
-        else if (arg.rfind("--dump-trace=", 0) == 0)
-            flags.dumpTrace = arg.substr(13);
-        else if (arg.rfind("--reqs=", 0) == 0)
-            flags.reqs = parseOrExit<uint64_t>(arg.substr(7), "--reqs");
-        else if (arg.rfind("--refresh-interval-ns=", 0) == 0)
-            flags.refreshIntervalNs = parseOrExit<int64_t>(
-                arg.substr(22), "--refresh-interval-ns");
-        else if (arg == "--grid")
-            flags.grid = true;
-        else if (arg.rfind("--threshold=", 0) == 0)
-            flags.threshold =
-                parseOrExit<uint64_t>(arg.substr(12), "--threshold");
-        else if (arg.rfind("--power-budget-mw=", 0) == 0)
-            flags.powerBudgetMw =
-                parseOrExit<double>(arg.substr(18), "--power-budget-mw");
-        else if (arg.rfind("--power-window-ns=", 0) == 0)
-            flags.powerWindowNs =
-                parseOrExit<double>(arg.substr(18), "--power-window-ns",
-                                    kMaxPowerWindowNs, kMinPowerWindowNs);
-        else {
-            if (subcommand.empty()) {
-                std::fprintf(stderr, "error: unknown flag '%s'\n",
-                             arg.c_str());
-            } else {
-                std::fprintf(stderr,
-                             "error: unknown flag '%s' (subcommand "
-                             "'%s')\n",
-                             arg.c_str(), subcommand.c_str());
-            }
+    Invocation in;
+    for (const std::string &arg : flags) {
+        const auto *flag = std::ranges::find_if(kFlags, [&](const FlagDef &f) {
+            return f.name.ends_with('=') ? arg.starts_with(f.name)
+                                         : arg == f.name;
+        });
+        if (flag == std::end(kFlags)) {
+            std::fprintf(stderr, "error: unknown flag '%s'%s\n", arg.c_str(),
+                         args.empty() ? ""
+                                      : (" (subcommand '" + args[0] + "')")
+                                            .c_str());
             return usage();
         }
+        given.emplace_back(flagName(*flag));
+        flag->set(in.flags, arg.substr(flag->name.size()),
+                  given.back().c_str());
     }
 
     if (args.empty())
         return usage();
-    const std::string &cmd = args[0];
-    const auto readable = kFlagsRead.find(cmd);
-    if (readable == kFlagsRead.end())
+    const auto *sub = std::ranges::find(kSubcommands, args[0],
+                                        &Subcommand::name);
+    if (sub == std::end(kSubcommands))
         return usage();
     for (const std::string &flag : given) {
-        if (readable->second.count(flag) == 0) {
+        if (!readsFlag(sub->reads, flag)) {
             std::fprintf(stderr, "error: %s does not apply to '%s'\n",
-                         flag.c_str(), cmd.c_str());
+                         flag.c_str(), args[0].c_str());
             return 2;
         }
     }
-    if (cmd == "list")
-        return cmdList();
-    if (args.size() >= 2) {
-        const std::string &preset =
-            keywordOrExit(dram::presetTable(), args[1], "preset").id;
-        if (cmd == "inspect")
-            return cmdInspect(preset);
-        if (cmd == "retention")
-            return cmdRetention(preset, flags);
-        if (cmd == "report")
-            return cmdReport(preset, flags);
-        if (cmd == "lint")
-            return cmdLint(preset, programOrExit(args));
-        // certify --grid certifies the mc grid, not a catalog program.
-        if (cmd == "certify")
-            return cmdCertify(preset,
-                              flags.grid ? nullptr : programOrExit(args),
-                              flags);
-        if (cmd == "stats") {
-            const auto row = args.size() > 2
-                                 ? parseOrExit<dram::RowAddr>(args[2], "row")
-                                 : dram::RowAddr(1000);
-            const auto n = args.size() > 3
-                               ? parseOrExit<uint64_t>(args[3], "count")
-                               : uint64_t(10000);
-            return cmdStats(preset, row, n, flags);
-        }
-        if ((cmd == "hammer" || cmd == "press") && args.size() == 4) {
-            return cmdAttack(preset,
-                             parseOrExit<dram::RowAddr>(args[2], "row"),
-                             parseOrExit<uint64_t>(args[3], "count"),
-                             cmd == "press", flags);
-        }
-        if (cmd == "rowcopy" && args.size() == 4) {
-            return cmdRowCopy(
-                preset, parseOrExit<dram::RowAddr>(args[2], "src row"),
-                parseOrExit<dram::RowAddr>(args[3], "dst row"), flags);
-        }
-        if (cmd == "sweep") {
-            const auto shards = args.size() > 2
-                                    ? parseOrExit<uint64_t>(args[2], "shards")
-                                    : uint64_t(8);
-            const auto n = args.size() > 3
-                               ? parseOrExit<uint64_t>(args[3], "count")
-                               : uint64_t(200000);
-            return cmdSweep(preset, shards, n, flags);
-        }
-        if (cmd == "mc")
-            return cmdMc(preset, flags);
-        if (cmd == "mcsweep")
-            return cmdMcSweep(preset, flags);
-    }
-    return usage();
+    if (sub->synopsis.starts_with("<preset>") && args.size() > 1)
+        in.cfg = dram::makePreset(
+            keywordOrExit(dram::presetTable(), args[1], "preset").id);
+    // The synopsis gives the arity: `<x>` is required, `[x]` optional.
+    const auto required = size_t(std::ranges::count(sub->synopsis, '<'));
+    const auto optional = size_t(std::ranges::count(sub->synopsis, '['));
+    if (args.size() - 1 < required || args.size() - 1 > required + optional)
+        return usage();
+    in.name = args[0];
+    in.args.assign(args.begin() + 1, args.end());
+    return sub->run(in);
 }
