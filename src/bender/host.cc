@@ -133,12 +133,17 @@ Host::execCertifiedLoop(const lint::LoopCertificate &cert, uint64_t count,
     try {
         dev_.actMany(train);
     } catch (const dram::FaultError &e) {
-        // Rewind to the faulting command's issue slot: step-wise
-        // execution would have stopped there with the clock not yet
-        // advanced past it.
+        // Step-wise execution observes each completed command and the
+        // faulting one, and stops with the clock on the faulting
+        // command's issue slot.
         const uint64_t done = e.trainCommandsDone;
-        now_ps_ = train.startPs + int64_t(done / 2) * train.periodPs +
-                  (done % 2 ? train.openPs : 0);
+        for (uint64_t j = 0; j <= done; ++j) {
+            now_ps_ = train.startPs + int64_t(j / 2) * train.periodPs +
+                      (j % 2 ? train.openPs : 0);
+            if (observing())
+                observe(j % 2 ? obs::TraceCmd::Pre : obs::TraceCmd::Act,
+                        train.bank, j % 2 ? 0 : train.row, 0, nowNsF());
+        }
         result.commandsIssued += done;
         throw;
     }
@@ -207,20 +212,7 @@ Host::execRange(const std::vector<Instr> &instrs, size_t begin, size_t end,
             ++i;
             break;
           case Opcode::LoopBegin: {
-            // Find the matching LoopEnd.
-            size_t depth = 1;
-            size_t body_end = i + 1;
-            while (body_end < end && depth > 0) {
-                if (instrs[body_end].op == Opcode::LoopBegin)
-                    ++depth;
-                else if (instrs[body_end].op == Opcode::LoopEnd)
-                    --depth;
-                if (depth == 0)
-                    break;
-                ++body_end;
-            }
-            panicIf(depth != 0, "Host: unbalanced loop (validate?)");
-
+            const size_t body_end = matchingLoopEnd(instrs, i, end);
             std::optional<lint::LoopCertificate> cert;
             if (fastpath_mode_ != dram::FastPathMode::Off && ins.count > 0)
                 cert = lint::certifyHammerLoop(instrs, i + 1, body_end,

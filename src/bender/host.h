@@ -163,19 +163,23 @@ class Host
     void writeRowBits(dram::BankId b, dram::RowAddr row,
                       const BitVec &bits);
 
+    /** The paper's open-row times: RowHammer 35 ns, RowPress 7.8 us. */
+    static constexpr double kHammerOpenNs = 35.0;
+    static constexpr double kPressOpenNs = 7800.0;
+
     /**
      * Single-sided RowHammer: @p count ACT-PRE pairs with @p open_ns
      * of open-row time each (paper: 300K x 35ns).
      */
     ExecResult hammer(dram::BankId b, dram::RowAddr row, uint64_t count,
-                      double open_ns = 35.0);
+                      double open_ns = kHammerOpenNs);
 
     /**
      * RowPress: @p count activations each held open for @p open_ns
      * (paper: 8K x 7.8us).
      */
     ExecResult press(dram::BankId b, dram::RowAddr row, uint64_t count,
-                     double open_ns = 7800.0);
+                     double open_ns = kPressOpenNs);
 
     /**
      * RowCopy: activates @p src, precharges, then re-activates
@@ -255,9 +259,10 @@ class Host
     /**
      * Hands one certified loop to the device's bulk fast path and
      * advances the clock by exactly count * period.  When a fault
-     * aborts the train the clock rewinds to the faulting command's
-     * issue slot before rethrowing, exactly where step-wise
-     * execution would have stopped.
+     * aborts the train, each command the train completed and the
+     * faulting one go through observe(), and the clock rests on the
+     * faulting command's issue slot before rethrowing: what, and
+     * where, step-wise execution would have observed and stopped.
      */
     void execCertifiedLoop(const lint::LoopCertificate &cert,
                            uint64_t count, ExecResult &result);

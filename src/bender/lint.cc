@@ -424,21 +424,9 @@ class Interp
                 clock_ps_ += ins.ps;
                 break;
               case Opcode::LoopBegin: {
-                size_t depth = 1;
-                size_t body_end = i + 1;
-                while (body_end < end && depth > 0) {
-                    if (instrs_[body_end].op == Opcode::LoopBegin)
-                        ++depth;
-                    else if (instrs_[body_end].op == Opcode::LoopEnd)
-                        --depth;
-                    if (depth == 0)
-                        break;
-                    ++body_end;
-                }
                 // Unbalanced structure is reported by the structural
                 // pass; lint() skips the timing walk entirely then.
-                panicIf(depth != 0, "lint: unbalanced loop in walk");
-
+                const size_t body_end = matchingLoopEnd(instrs_, i, end);
                 const int64_t loop_start_ps = clock_ps_;
                 uint64_t sim = std::min(ins.count, kSimIters);
                 int64_t iter_ps = 0;
@@ -764,28 +752,24 @@ certifyHammerLoop(const std::vector<Instr> &instrs, size_t begin,
     cert.bank = instrs[i].bank;
     cert.row = instrs[i].row;
     int64_t t = tck_ps;  // The ACT slot itself.
-    ++i;
-    while (i < end && (instrs[i].op == Opcode::Nop ||
-                       instrs[i].op == Opcode::SleepNs)) {
-        t += instrs[i].op == Opcode::Nop
-                 ? int64_t(instrs[i].count) * tck_ps
-                 : instrs[i].ps;
-        ++i;
-    }
+    // Adds the idle slots (Nop, SleepNs) after slot i to t.
+    const auto idle_after = [&] {
+        for (++i; i < end && (instrs[i].op == Opcode::Nop ||
+                              instrs[i].op == Opcode::SleepNs);
+             ++i) {
+            t += instrs[i].op == Opcode::Nop
+                     ? int64_t(instrs[i].count) * tck_ps
+                     : instrs[i].ps;
+        }
+    };
+    idle_after();
     if (i >= end || instrs[i].op != Opcode::Pre ||
         instrs[i].bank != cert.bank) {
         return std::nullopt;
     }
     cert.openPs = t;
     t += tck_ps;
-    ++i;
-    while (i < end && (instrs[i].op == Opcode::Nop ||
-                       instrs[i].op == Opcode::SleepNs)) {
-        t += instrs[i].op == Opcode::Nop
-                 ? int64_t(instrs[i].count) * tck_ps
-                 : instrs[i].ps;
-        ++i;
-    }
+    idle_after();
     if (i != end)
         return std::nullopt;
     cert.periodPs = t;

@@ -130,5 +130,18 @@ Program::validate() const
     }
 }
 
+size_t
+matchingLoopEnd(const std::vector<Instr> &instrs, size_t begin, size_t end)
+{
+    size_t depth = 1;
+    for (size_t i = begin + 1; i < end; ++i) {
+        if (instrs[i].op == Opcode::LoopBegin)
+            ++depth;
+        else if (instrs[i].op == Opcode::LoopEnd && --depth == 0)
+            return i;
+    }
+    panic("unbalanced loop at slot " + std::to_string(begin));
+}
+
 } // namespace bender
 } // namespace dramscope

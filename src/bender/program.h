@@ -111,6 +111,15 @@ class Program
     std::vector<lint::Rule> expected_;
 };
 
+/**
+ * The slot of the LoopEnd that closes the LoopBegin at @p begin,
+ * searched in [begin + 1, end).  Panics when the loop is not closed
+ * there: Program::validate() and the linter's structural pass reject
+ * such a program before anything walks it.
+ */
+size_t matchingLoopEnd(const std::vector<Instr> &instrs, size_t begin,
+                       size_t end);
+
 } // namespace bender
 } // namespace dramscope
 

@@ -101,7 +101,7 @@ Characterization::berVsPhysIndex(dram::AibMechanism mech,
     const AttackResult r = runAttack(
         upper_aggressor, victim_even_wl, victim, aggr,
         hammer ? opts_.hammerCount : opts_.pressCount,
-        hammer ? opts_.hammerOpenNs : opts_.pressOpenNs);
+        hammer ? bender::Host::kHammerOpenNs : bender::Host::kPressOpenNs);
 
     std::vector<double> ber(modulo, 0.0);
     std::vector<uint64_t> cells(modulo, 0);
@@ -122,7 +122,7 @@ Characterization::gateTypeBer(dram::AibMechanism mech)
     const bool hammer = mech == dram::AibMechanism::RowHammer;
     const uint64_t count = hammer ? opts_.hammerCount : opts_.pressCount;
     const double open_ns =
-        hammer ? opts_.hammerOpenNs : opts_.pressOpenNs;
+        hammer ? bender::Host::kHammerOpenNs : bender::Host::kPressOpenNs;
 
     for (const bool data_one : {false, true}) {
         BitErrorRate ber_a, ber_b;
@@ -176,8 +176,7 @@ Characterization::edgeVsTypical(
                 const dram::RowAddr victim_phys = aggr_phys + 1;
                 ctx.host.writeRowBits(b, logicalOf(victim_phys), victim);
                 ctx.host.writeRowBits(b, logicalOf(aggr_phys), aggr);
-                ctx.host.hammer(b, logicalOf(aggr_phys),
-                                opts_.hammerCount, opts_.hammerOpenNs);
+                ctx.host.hammer(b, logicalOf(aggr_phys), opts_.hammerCount);
                 const BitVec read =
                     ctx.host.readRowBits(b, logicalOf(victim_phys));
                 return read.hammingDistance(victim);
@@ -236,7 +235,7 @@ Characterization::relativeBerVictimNeighbors(bool vic0_one,
         const BitVec victim = lattice(vic0_one, d1, d2);
         const AttackResult r = runAttack(true, true, victim, aggr,
                                          opts_.hammerCount,
-                                         opts_.hammerOpenNs);
+                                         bender::Host::kHammerOpenNs);
         uint64_t flips = 0;
         for (uint32_t i : positions)
             flips += r.flipsPerHostBit[i];
@@ -275,7 +274,7 @@ Characterization::relativeBerAggrNeighbors(bool vic0_one, bool aggr0_same,
         const BitVec aggr = aggr_lattice(a0, a1, a2);
         const AttackResult r = runAttack(true, true, victim, aggr,
                                          opts_.hammerCount,
-                                         opts_.hammerOpenNs);
+                                         bender::Host::kHammerOpenNs);
         uint64_t flips = 0;
         for (uint32_t i : positions)
             flips += r.flipsPerHostBit[i];
@@ -301,8 +300,7 @@ Characterization::hcntForGroup(bender::Host &host,
     auto probe = [&](uint64_t count) {
         host.writeRowBits(b, logicalOf(victim_phys), victim_bits);
         host.writeRowBits(b, logicalOf(aggr_phys), aggr_bits);
-        host.hammer(b, logicalOf(aggr_phys), count,
-                    opts_.hammerOpenNs);
+        host.hammer(b, logicalOf(aggr_phys), count);
         const BitVec read = host.readRowBits(b, logicalOf(victim_phys));
         for (uint32_t i : vic0_positions) {
             if (read.get(i) != victim_bits.get(i))
@@ -375,7 +373,7 @@ Characterization::patternBer(uint8_t victim_nibble, uint8_t aggr_nibble)
     for (const bool even_wl : {false, true}) {
         const AttackResult r =
             runAttack(true, even_wl, victim, aggr, opts_.hammerCount,
-                      opts_.hammerOpenNs);
+                      bender::Host::kHammerOpenNs);
         for (uint32_t i = 0; i < row_bits_; ++i)
             flips += r.flipsPerHostBit[i];
         cells += uint64_t(r.rows) * row_bits_;

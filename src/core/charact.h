@@ -32,11 +32,12 @@ struct CharactOptions
     /** Victim rows per measurement (one per 4-row group). */
     uint32_t victimRows = 128;
 
-    /** Paper attack parameters: 300K x 35ns hammer, 8K x 7.8us press. */
+    /**
+     * Paper attack counts: 300K hammer, 8K press, each at its
+     * paper open time (Host::kHammerOpenNs, Host::kPressOpenNs).
+     */
     uint64_t hammerCount = 300000;
-    double hammerOpenNs = 35.0;
     uint64_t pressCount = 8192;
-    double pressOpenNs = 7800.0;
 
     /** First physical row of the probe region. */
     dram::RowAddr baseRow = 1024;

@@ -49,6 +49,41 @@ MitigationSequence::program(const dram::DeviceConfig &cfg) const
 
 Mitigation::~Mitigation() = default;
 
+std::vector<MitigationSequence>
+Mitigation::pendingCommands()
+{
+    return std::exchange(pending_, {});
+}
+
+void
+Mitigation::emit(MitigationSequence seq)
+{
+    pending_.push_back(std::move(seq));
+    ++fired_;
+}
+
+namespace {
+
+/** Entries of a registry-built RFM's in-DRAM space-saving table. */
+constexpr uint32_t kRfmTableSize = 16;
+
+/**
+ * The coupled partner of @p row when @p cfg couples rows and the
+ * partner is another row of the bank.
+ */
+std::optional<dram::RowAddr>
+coupledPartner(const dram::DeviceConfig &cfg, dram::RowAddr row)
+{
+    if (!cfg.coupledRowDistance)
+        return std::nullopt;
+    const dram::RowAddr partner = row ^ *cfg.coupledRowDistance;
+    if (partner == row || partner >= cfg.rowsPerBank)
+        return std::nullopt;
+    return partner;
+}
+
+} // namespace
+
 std::vector<dram::RowAddr>
 victimRows(const dram::DeviceConfig &cfg, dram::RowAddr row,
            bool device_aware)
@@ -66,11 +101,8 @@ victimRows(const dram::DeviceConfig &cfg, dram::RowAddr row,
         }
     };
     push_neighbours(row);
-    if (device_aware && cfg.coupledRowDistance) {
-        const dram::RowAddr partner = row ^ *cfg.coupledRowDistance;
-        if (partner != row && partner < cfg.rowsPerBank)
-            push_neighbours(partner);
-    }
+    if (const auto partner = coupledPartner(cfg, row); device_aware && partner)
+        push_neighbours(*partner);
     return victims;
 }
 
@@ -98,8 +130,7 @@ GrapheneMitigation::onActivate(dram::BankId bank, dram::RowAddr row,
         // not know the device's internal topology.
         seq.rows = victimRows(cfg_, fired, /*device_aware=*/false);
         seq.neutralized = {fired};
-        pending_.push_back(std::move(seq));
-        ++fired_;
+        emit(std::move(seq));
     }
 }
 
@@ -108,12 +139,6 @@ GrapheneMitigation::onRefreshWindow()
 {
     for (auto &tracker : trackers_)
         tracker.reset();
-}
-
-std::vector<MitigationSequence>
-GrapheneMitigation::pendingCommands()
-{
-    return std::exchange(pending_, {});
 }
 
 uint64_t
@@ -216,21 +241,11 @@ RfmMitigation::onActivate(dram::BankId bank, dram::RowAddr row,
         // hot row *and* of its coupled partner (SS VI-B).
         seq.rows = victimRows(cfg_, *hot, /*device_aware=*/true);
         seq.neutralized = {*hot};
-        if (cfg_.coupledRowDistance) {
-            const dram::RowAddr partner = *hot ^ *cfg_.coupledRowDistance;
-            if (partner != *hot && partner < cfg_.rowsPerBank)
-                seq.neutralized.push_back(partner);
-        }
+        if (const auto partner = coupledPartner(cfg_, *hot))
+            seq.neutralized.push_back(*partner);
         st.table.decay(*hot);
-        pending_.push_back(std::move(seq));
-        ++fired_;
+        emit(std::move(seq));
     }
-}
-
-std::vector<MitigationSequence>
-RfmMitigation::pendingCommands()
-{
-    return std::exchange(pending_, {});
 }
 
 uint64_t
@@ -265,20 +280,9 @@ DrfmMitigation::onActivate(dram::BankId bank, dram::RowAddr row,
     seq.bank = bank;
     seq.rows = victimRows(cfg_, *st.sampled, /*device_aware=*/true);
     seq.neutralized = {*st.sampled};
-    if (cfg_.coupledRowDistance) {
-        const dram::RowAddr partner =
-            *st.sampled ^ *cfg_.coupledRowDistance;
-        if (partner != *st.sampled && partner < cfg_.rowsPerBank)
-            seq.neutralized.push_back(partner);
-    }
-    pending_.push_back(std::move(seq));
-    ++fired_;
-}
-
-std::vector<MitigationSequence>
-DrfmMitigation::pendingCommands()
-{
-    return std::exchange(pending_, {});
+    if (const auto partner = coupledPartner(cfg_, *st.sampled))
+        seq.neutralized.push_back(*partner);
+    emit(std::move(seq));
 }
 
 uint64_t
@@ -330,8 +334,7 @@ RowSwapMitigation::swapOut(dram::BankId bank, dram::RowAddr row)
     // back to the target, one command slot each.
     seq.extraPs =
         int64_t(2 * cfg_.columnsPerRow()) * dram::psFromNs(cfg_.timing.tCkNs);
-    pending_.push_back(std::move(seq));
-    ++fired_;
+    emit(std::move(seq));
 }
 
 void
@@ -346,12 +349,6 @@ RowSwapMitigation::onActivate(dram::BankId bank, dram::RowAddr row,
         if (opts_.coupledAware)
             swapOut(bank, row ^ opts_.coupledDistance);
     }
-}
-
-std::vector<MitigationSequence>
-RowSwapMitigation::pendingCommands()
-{
-    return std::exchange(pending_, {});
 }
 
 uint64_t
@@ -416,7 +413,7 @@ makeMitigation(MitigationKind kind, const dram::DeviceConfig &cfg,
     }
     case MitigationKind::Rfm:
         return std::make_unique<RfmMitigation>(cfg, opts.raaimt,
-                                               opts.rfmTableSize);
+                                               kRfmTableSize);
     case MitigationKind::Drfm:
         return std::make_unique<DrfmMitigation>(cfg, opts.drfmInterval);
     case MitigationKind::RowSwap: {

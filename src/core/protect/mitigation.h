@@ -56,7 +56,7 @@ namespace core {
     X(Graphene, "graphene", "threshold=20000, table_size=64",               \
       "MC-side Misra-Gries activation tracker; a counter crossing the "     \
       "threshold injects a +-1 victim-refresh ACT..PRE sequence")           \
-    X(Rfm, "rfm", "raaimt=4096, rfm_table=16",                              \
+    X(Rfm, "rfm", "raaimt=4096",                                            \
       "DDR5 Refresh Management: an RAA counter issues an RFM every "        \
       "raaimt ACTs; the in-DRAM space-saving table refreshes the "          \
       "hottest row's true neighbours, coupled partner included")            \
@@ -116,11 +116,11 @@ struct MitigationOptions
     /** Graphene: tracker table/threshold/coupling knobs. */
     TrackerOptions graphene;
 
-    /** RFM: RAA initial management threshold (RFM cadence in ACTs). */
+    /**
+     * RFM: RAA initial management threshold (RFM cadence in ACTs).
+     * The in-DRAM space-saving table holds 16 entries.
+     */
     uint64_t raaimt = 4096;
-
-    /** RFM: in-DRAM space-saving table entries. */
-    uint32_t rfmTableSize = 16;
 
     /** DRFM: one directed refresh every this many ACTs. */
     uint64_t drfmInterval = 8192;
@@ -176,7 +176,7 @@ class Mitigation
     virtual void onRefreshWindow() {}
 
     /** Drains the command sequences generated since the last call. */
-    virtual std::vector<MitigationSequence> pendingCommands() = 0;
+    std::vector<MitigationSequence> pendingCommands();
 
     /** Physical row currently backing logical @p row (identity for
      *  everything except row swap's indirection table). */
@@ -197,6 +197,11 @@ class Mitigation
     uint64_t fired() const { return fired_; }
 
   protected:
+    /** Queues @p seq for the next pendingCommands() and counts it. */
+    void emit(MitigationSequence seq);
+
+  private:
+    std::vector<MitigationSequence> pending_;
     uint64_t fired_ = 0;
 };
 
@@ -219,7 +224,6 @@ class GrapheneMitigation : public Mitigation
     void onActivate(dram::BankId bank, dram::RowAddr row,
                     uint64_t count = 1) override;
     void onRefreshWindow() override;
-    std::vector<MitigationSequence> pendingCommands() override;
     uint64_t accountingChunk() const override;
 
     /**
@@ -233,7 +237,6 @@ class GrapheneMitigation : public Mitigation
     dram::DeviceConfig cfg_;
     TrackerOptions opts_;
     std::vector<ActivationTracker> trackers_;  //!< One per bank.
-    std::vector<MitigationSequence> pending_;
 };
 
 /**
@@ -275,7 +278,6 @@ class RfmMitigation : public Mitigation
     MitigationKind kind() const override { return MitigationKind::Rfm; }
     void onActivate(dram::BankId bank, dram::RowAddr row,
                     uint64_t count = 1) override;
-    std::vector<MitigationSequence> pendingCommands() override;
     uint64_t accountingChunk() const override;
 
   private:
@@ -290,7 +292,6 @@ class RfmMitigation : public Mitigation
     dram::DeviceConfig cfg_;
     uint64_t raaimt_;
     std::vector<BankState> banks_;
-    std::vector<MitigationSequence> pending_;
 };
 
 /**
@@ -306,7 +307,6 @@ class DrfmMitigation : public Mitigation
     MitigationKind kind() const override { return MitigationKind::Drfm; }
     void onActivate(dram::BankId bank, dram::RowAddr row,
                     uint64_t count = 1) override;
-    std::vector<MitigationSequence> pendingCommands() override;
     uint64_t accountingChunk() const override;
 
   private:
@@ -319,7 +319,6 @@ class DrfmMitigation : public Mitigation
     dram::DeviceConfig cfg_;
     uint64_t interval_;
     std::vector<BankState> banks_;
-    std::vector<MitigationSequence> pending_;
 };
 
 /**
@@ -339,7 +338,6 @@ class RowSwapMitigation : public Mitigation
     }
     void onActivate(dram::BankId bank, dram::RowAddr row,
                     uint64_t count = 1) override;
-    std::vector<MitigationSequence> pendingCommands() override;
     dram::RowAddr resolve(dram::BankId bank,
                           dram::RowAddr row) const override;
     uint64_t accountingChunk() const override;
@@ -360,7 +358,6 @@ class RowSwapMitigation : public Mitigation
     dram::DeviceConfig cfg_;
     RowSwapOptions opts_;
     std::vector<BankState> banks_;
-    std::vector<MitigationSequence> pending_;
 };
 
 /**

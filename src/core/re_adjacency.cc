@@ -13,6 +13,13 @@
 namespace dramscope {
 namespace core {
 
+namespace {
+
+constexpr uint32_t kWindow = 4;  //!< Rows scanned on each side.
+constexpr size_t kMinFlips = 3;  //!< Flips needed to call a row adjacent.
+
+} // namespace
+
 AdjacencyMapper::AdjacencyMapper(bender::Host &host, AdjacencyOptions opts)
     : host_(host), opts_(opts)
 {
@@ -28,10 +35,9 @@ AdjacencyMapper::probe(dram::RowAddr aggressor)
 
     // Candidate victims: the logical window around the aggressor.
     std::vector<dram::RowAddr> victims;
-    const uint32_t lo =
-        aggressor > opts_.window ? aggressor - opts_.window : 0;
-    const uint32_t hi = std::min<uint32_t>(cfg.rowsPerBank - 1,
-                                           aggressor + opts_.window);
+    const uint32_t lo = aggressor > kWindow ? aggressor - kWindow : 0;
+    const uint32_t hi =
+        std::min<uint32_t>(cfg.rowsPerBank - 1, aggressor + kWindow);
     for (dram::RowAddr r = lo; r <= hi; ++r) {
         if (r != aggressor)
             victims.push_back(r);
@@ -55,7 +61,7 @@ AdjacencyMapper::probe(dram::RowAddr aggressor)
                   return a.second > b2.second;
               });
     for (const auto &[row, flips] : result.counts) {
-        if (flips >= opts_.minFlips && result.neighbors.size() < 2)
+        if (flips >= kMinFlips && result.neighbors.size() < 2)
             result.neighbors.push_back(row);
     }
     std::sort(result.neighbors.begin(), result.neighbors.end());

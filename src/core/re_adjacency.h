@@ -35,8 +35,6 @@ struct AdjacencyOptions
 {
     dram::BankId bank = 0;
     uint64_t hammerCount = 600000;
-    uint32_t window = 4;       //!< Rows scanned on each side.
-    size_t minFlips = 3;       //!< Flips needed to call a row adjacent.
 };
 
 /** Discovers physical row adjacency through the command interface. */

@@ -10,6 +10,13 @@
 namespace dramscope {
 namespace core {
 
+namespace {
+
+constexpr uint32_t kWindow = 4;  //!< Victim scan radius.
+constexpr size_t kMinFlips = 3;  //!< Flips that confirm a distance.
+
+} // namespace
+
 CoupledRowDetector::CoupledRowDetector(bender::Host &host,
                                        CoupledOptions opts)
     : host_(host), opts_(opts)
@@ -22,14 +29,13 @@ CoupledRowDetector::testDistance(uint32_t distance)
     const auto &cfg = host_.config();
     const dram::BankId b = opts_.bank;
     const dram::RowAddr aggr = opts_.probeRow;
-    fatalIf(uint64_t(aggr) + distance + opts_.window >= cfg.rowsPerBank,
+    fatalIf(uint64_t(aggr) + distance + kWindow >= cfg.rowsPerBank,
             "testDistance: probe row too high for this distance");
     const dram::RowAddr partner = aggr + distance;
 
     // Arm victim candidates around the suspected partner with the
     // strong all-ones pattern; the partner itself gets the inverse.
-    for (dram::RowAddr r = partner - opts_.window;
-         r <= partner + opts_.window; ++r) {
+    for (dram::RowAddr r = partner - kWindow; r <= partner + kWindow; ++r) {
         host_.writeRowPattern(b, r, r == partner ? 0 : ~0ULL);
     }
     host_.writeRowPattern(b, aggr, 0);
@@ -37,14 +43,13 @@ CoupledRowDetector::testDistance(uint32_t distance)
     host_.hammer(b, aggr, opts_.hammerCount);
 
     size_t flips = 0;
-    for (dram::RowAddr r = partner - opts_.window;
-         r <= partner + opts_.window; ++r) {
+    for (dram::RowAddr r = partner - kWindow; r <= partner + kWindow; ++r) {
         if (r == partner)
             continue;
         const BitVec bits = host_.readRowBits(b, r);
         flips += bits.size() - bits.popcount();
     }
-    return flips >= opts_.minFlips;
+    return flips >= kMinFlips;
 }
 
 std::optional<uint32_t>

@@ -25,8 +25,6 @@ struct CoupledOptions
     dram::BankId bank = 0;
     uint64_t hammerCount = 600000;
     dram::RowAddr probeRow = 1024;  //!< Aggressor used for probing.
-    uint32_t window = 4;            //!< Victim scan radius.
-    size_t minFlips = 3;
 };
 
 /** Detects the coupled-row relation through AIB side effects. */

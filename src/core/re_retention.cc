@@ -13,6 +13,12 @@
 namespace dramscope {
 namespace core {
 
+namespace {
+
+constexpr size_t kMaxWeakCells = 64;  //!< Cap on reported weak cells.
+
+} // namespace
+
 RetentionProfiler::RetentionProfiler(bender::Host &host,
                                      RetentionOptions opts)
     : host_(host), opts_(opts)
@@ -45,8 +51,7 @@ RetentionProfiler::profile()
             point.decayed += bits.size() - bits.popcount();
             if (wait_ms <= opts_.weakThresholdMs) {
                 for (size_t i = 0; i < bits.size() &&
-                                   out.weakCells.size() <
-                                       opts_.maxWeakCells;
+                                   out.weakCells.size() < kMaxWeakCells;
                      ++i) {
                     if (!bits.get(i))
                         out.weakCells.push_back(

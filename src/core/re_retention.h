@@ -61,11 +61,8 @@ struct RetentionOptions
     std::vector<double> waitsMs = {250, 500, 1000, 2000, 4000,
                                    8000, 16000, 32000};
 
-    /** Report cells decaying at or below this wait as weak. */
+    /** Report cells decaying at or below this wait as weak (at most 64). */
     double weakThresholdMs = 500;
-
-    /** Cap on reported weak cells. */
-    size_t maxWeakCells = 64;
 };
 
 /** Retention-time sweep through the command interface. */

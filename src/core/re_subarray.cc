@@ -12,6 +12,20 @@
 namespace dramscope {
 namespace core {
 
+namespace {
+
+/**
+ * Columns sampled per probe.  Full/half/none classification only
+ * needs a sample; each column contributes an exact even/odd bitline
+ * split, so eight columns are ample.
+ */
+constexpr uint32_t kSampleColumns = 8;
+
+/** Hammer count for the AIB cross-check. */
+constexpr uint64_t kCrossCheckHammer = 400000;
+
+} // namespace
+
 SubarrayMapper::SubarrayMapper(bender::Host &host, SubarrayOptions opts)
     : host_(host), opts_(opts)
 {
@@ -25,9 +39,7 @@ SubarrayMapper::probeCopy(dram::RowAddr src, dram::RowAddr dst,
 {
     const dram::BankId b = opts_.bank;
     const uint32_t all_cols = host_.config().columnsPerRow();
-    uint32_t n_sample = opts_.sampleColumns == 0
-                            ? all_cols
-                            : std::min(opts_.sampleColumns, all_cols);
+    const uint32_t n_sample = std::min(kSampleColumns, all_cols);
     std::vector<dram::ColAddr> cols;
     for (uint32_t k = 0; k < n_sample; ++k)
         cols.push_back(k * all_cols / n_sample);
@@ -156,7 +168,7 @@ SubarrayMapper::aibCrossCheckBoundary(dram::RowAddr boundary)
     host_.writeRowPattern(b, logical(boundary - 2), ~0ULL);
     host_.writeRowPattern(b, logical(boundary), ~0ULL);
     host_.writeRowPattern(b, logical(aggr), 0);
-    host_.hammer(b, logical(aggr), opts_.crossCheckHammer);
+    host_.hammer(b, logical(aggr), kCrossCheckHammer);
 
     const BitVec inner = host_.readRowBits(b, logical(boundary - 2));
     const BitVec outer = host_.readRowBits(b, logical(boundary));

@@ -52,18 +52,8 @@ struct SubarrayOptions
      *  boundary (safety bound; 0 = rowsPerBank). */
     uint32_t scanLimit = 0;
 
-    /**
-     * Columns sampled per probe.  Full/half/none classification only
-     * needs a sample; each column contributes an exact even/odd
-     * bitline split, so eight columns are ample.  0 = all columns.
-     */
-    uint32_t sampleColumns = 8;
-
     /** Internal row remap (for the AIB cross-check addressing). */
     dram::RowRemapScheme rowRemap = dram::RowRemapScheme::None;
-
-    /** Hammer count for the AIB cross-check. */
-    uint64_t crossCheckHammer = 400000;
 };
 
 /** RowCopy-driven structure discovery. */

@@ -346,8 +346,9 @@ SwizzleReverser::discover()
             for (uint32_t t = 0; t < flips.size(); ++t) {
                 if (t == cand)
                     continue;
-                if (flips[t] >= baseline[t] &&
-                    flips[t] - baseline[t] >= opts_.minInfluence) {
+                // Non-influencers give exactly zero in a
+                // differential measurement: any flip is influence.
+                if (flips[t] > baseline[t]) {
                     d.edges.emplace_back(cand, t);
                 }
             }

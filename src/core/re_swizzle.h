@@ -54,10 +54,6 @@ struct SwizzleOptions
     /** First row of the probe region. */
     dram::RowAddr baseRow = 1000;
 
-    /** Flip-count delta that signals influence (non-influencers give
-     *  exactly zero in a differential measurement). */
-    uint32_t minInfluence = 1;
-
     /**
      * First subarray boundary row (from SubarrayMapper), used for the
      * even/odd bitline classification.  Must be > 0.  Interpreted as

@@ -217,18 +217,16 @@ Chip::replayTrain(const ActTrain &t)
 void
 Chip::actMany(const ActTrain &t)
 {
-    if (t.count == 0)
-        return;
-    BankFsm &f = fsm_.at(t.bank);
-    if (f.state == BankState::Open) {
-        violate("actMany to open bank", t.startNs());
-        return;
-    }
-    if (!trainBatchable(t)) {
+    // The batched math starts from a precharged bank; a train entered
+    // with the bank open replays, so its first ACT is the step-wise
+    // violation and its first PRE closes the open row.
+    if (t.count == 0 || fsm_.at(t.bank).state == BankState::Open ||
+        !trainBatchable(t)) {
         replayTrain(t);
         return;
     }
 
+    BankFsm &f = fsm_[t.bank];
     Bank &bk = *banks_[t.bank];
     const RowAddr phys = toPhysical(t.row);
     const auto partner = coupledPartner(phys);

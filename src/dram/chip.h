@@ -79,11 +79,11 @@ class Chip final : public Device
      * Bulk hammering fast path, bit-exact: replays the whole train's
      * FSM transitions, per-iteration violation records, physics
      * bookkeeping and stats in one batched update, proven
-     * byte-identical to slot-by-slot execution.  Trains whose
-     * timestamps the batched math cannot reproduce exactly
-     * (sub-picosecond-of-ns timing, periods reaching the retention
+     * byte-identical to slot-by-slot execution.  Trains the batched
+     * math cannot reproduce exactly (a bank that is already open,
+     * sub-picosecond-of-ns timing, periods reaching the retention
      * evaluation window) fall back to an internal per-iteration
-     * replay — still exact, just not fast.
+     * act()/pre() replay — still exact, just not fast.
      */
     void actMany(const ActTrain &train) override;
 

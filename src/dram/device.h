@@ -151,8 +151,12 @@ class Device
      * the whole certified train with the same state transitions,
      * violation records and physics bookkeeping as the equivalent
      * slot-by-slot ACT/PRE sequence — so it never pays per-iteration
-     * dispatch but stays byte-identical to the step-wise engine.
-     * The bank must start (and therefore end) precharged.
+     * dispatch but stays byte-identical to the step-wise engine.  An
+     * implementation batches only where the batch is exact and
+     * otherwise issues the train one command at a time through its
+     * own act()/pre(): a bank that is open at the first ACT is the
+     * step-wise ACT-to-open-bank violation, and every train with a
+     * nonzero count ends precharged.
      */
     virtual void actMany(const ActTrain &train) = 0;
 

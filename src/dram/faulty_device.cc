@@ -365,78 +365,51 @@ FaultyDevice::refresh(NanoTime now)
     inner_->refresh(now);
 }
 
+bool
+FaultyDevice::faultFree(uint64_t commands) const
+{
+    // A dead device has counted one command past its limit, so the
+    // death arithmetic also refuses every train it is handed.
+    if (spec_.dieAfterCommands > 0 &&
+        lifetime_commands_ + commands > spec_.dieAfterCommands)
+        return false;
+    if (spec_.dropRate > 0.0) {
+        const uint64_t key = hashCombine(stream_key_, kDropTag);
+        for (uint64_t j = 0; j < commands; ++j) {
+            if (hashUniform(key, stream_commands_ + j) < spec_.dropRate)
+                return false;
+        }
+    }
+    return true;
+}
+
 void
 FaultyDevice::actMany(const ActTrain &train)
 {
-    if (dead_)
-        throw DeviceDeadError("device is dead (die:cmd=" +
-                              std::to_string(spec_.dieAfterCommands) +
-                              " reached)");
     const uint64_t total = 2 * train.count;
-
-    // First faulting command offset within the train, decided exactly
-    // as `total` step-wise onCommand() calls would decide it: death
-    // checks precede drop draws at every index.
-    uint64_t fault_at = total;
-    bool death = false;
-    if (spec_.dieAfterCommands > 0 &&
-        lifetime_commands_ + total > spec_.dieAfterCommands) {
-        fault_at = spec_.dieAfterCommands - lifetime_commands_;
-        death = true;
-    }
-    if (spec_.dropRate > 0.0) {
-        const uint64_t key = hashCombine(stream_key_, kDropTag);
-        for (uint64_t j = 0; j < fault_at; ++j) {
-            if (hashUniform(key, stream_commands_ + j) < spec_.dropRate) {
-                fault_at = j;
-                death = false;
-                break;
-            }
-        }
-    }
-
-    if (fault_at == total) {
+    if (faultFree(total)) {
         stream_commands_ += total;
         lifetime_commands_ += total;
         inner_->actMany(train);
+        // Every train ends on a PRE.
+        if (total > 0 && train.bank < open_row_.size())
+            open_row_[train.bank].reset();
         return;
     }
-
-    // Forward the fault-free prefix: complete pairs via the bulk
-    // path, plus the lone ACT when the fault lands on a PRE (the
-    // bank is left open, exactly as step-wise execution leaves it).
-    const uint64_t pairs = fault_at / 2;
-    if (pairs > 0) {
-        ActTrain head = train;
-        head.count = pairs;
-        inner_->actMany(head);
+    // A fault lands inside the train: issue it command by command,
+    // exactly as step-wise execution does, until onCommand() raises it.
+    uint64_t done = 0;
+    try {
+        for (; done < total; ++done) {
+            if (done % 2 == 0)
+                act(train.bank, train.row, train.actNs(done / 2));
+            else
+                pre(train.bank, train.preNs(done / 2));
+        }
+    } catch (FaultError &e) {
+        e.trainCommandsDone = done;
+        throw;
     }
-    if (fault_at % 2 == 1) {
-        inner_->act(train.bank, train.row, train.actNs(pairs));
-        if (train.bank < open_row_.size() && !open_row_[train.bank])
-            open_row_[train.bank] = train.row;
-    }
-    // The faulting command itself advanced the counters step-wise.
-    stream_commands_ += fault_at + 1;
-    lifetime_commands_ += fault_at + 1;
-
-    if (death) {
-        dead_ = true;
-        counts_.deaths = 1;
-        if (dead_counter_ && dead_counter_->value == 0)
-            dead_counter_->add(1);
-        DeviceDeadError err(
-            "device died after " +
-            std::to_string(spec_.dieAfterCommands) + " commands");
-        err.trainCommandsDone = fault_at;
-        throw err;
-    }
-    ++counts_.drops;
-    if (drop_counter_)
-        drop_counter_->add(1);
-    TransientFaultError err("command dropped (injected)");
-    err.trainCommandsDone = fault_at;
-    throw err;
 }
 
 uint64_t

@@ -95,8 +95,9 @@ class FaultError : public std::runtime_error
     /**
      * Commands of an aborted bulk train that executed before the
      * fault (0 for single-command faults).  bender::Host uses it to
-     * rewind its clock to the faulting command's issue slot, exactly
-     * where step-wise execution would have stopped.
+     * observe those commands and the faulting one, and to rewind its
+     * clock to the faulting command's issue slot, exactly where
+     * step-wise execution would have stopped.
      */
     uint64_t trainCommandsDone = 0;
 };
@@ -194,13 +195,11 @@ class FaultyDevice final : public Device
     void refresh(NanoTime now) override;
 
     /**
-     * Bulk-train forwarding with exact per-command fault replay: the
-     * train's 2 * count commands draw the same death/drop decisions
-     * at the same stream indices as 2 * count step-wise commands.  A
-     * fault-free train forwards whole; a fault mid-train forwards
-     * the fault-free prefix (complete pairs via the bulk path, plus
-     * the lone ACT when the fault lands on a PRE), then throws with
-     * trainCommandsDone set.
+     * Bulk-train forwarding only where it is exact: a train none of
+     * whose 2 * count commands would fault (faultFree) forwards whole.
+     * Otherwise the train is issued command by command through act()
+     * and pre(), so the fault is raised by onCommand() exactly as in
+     * step-wise execution, with trainCommandsDone set on the way out.
      */
     void actMany(const ActTrain &train) override;
 
@@ -242,13 +241,20 @@ class FaultyDevice final : public Device
 
   private:
     /**
-     * Per-command bookkeeping shared by every single-command entry
-     * point: advances the lifetime and stream counters, throws
+     * Per-command bookkeeping of every command, a faulted train's
+     * included: advances the lifetime and stream counters, throws
      * DeviceDeadError when dead, and throws TransientFaultError on a
-     * dropped command.
+     * dropped command.  The one place that raises and counts either.
      * @return The stream index assigned to this command.
      */
     uint64_t onCommand();
+
+    /**
+     * True when the next @p commands commands would all pass
+     * onCommand(): no death (by arithmetic) and no drop (by the
+     * per-index hash scan).
+     */
+    bool faultFree(uint64_t commands) const;
 
     /** Applies flip + stuck-at faults to one RD_data burst. */
     uint64_t corruptRead(BankId b, ColAddr col, uint64_t data,

@@ -4,15 +4,16 @@
  * FastPathMode::Exact is *bit-identical* to the step-wise reference
  * engine (FastPathMode::Off) — same victim bits, same violation log,
  * same clock, same command count — on every backend (Chip, Dimm, HBM
- * channel), for every lint-certifiable kernel shape.  Proven
- * differentially with the property-based fuzzer of test_common.h
- * (failures log the draw seed).
+ * channel), for every lint-certifiable kernel shape, entered with its
+ * bank precharged or still open.  Proven differentially with the
+ * property-based fuzzer of test_common.h (failures log the draw seed).
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bender/host.h"
@@ -39,9 +40,22 @@ struct RunSnapshot
 using DeviceMaker =
     std::function<std::unique_ptr<dram::Device>(const dram::DeviceConfig &)>;
 
+/**
+ * The row an open-bank draw leaves open before its loop: the
+ * aggressor itself or the row two away on either side (drawn from a
+ * stream drawFuzzHammer does not use, so the kernel is unchanged).
+ */
+dram::RowAddr
+openEntryRow(const testutil::FuzzHammer &f)
+{
+    const auto side = int64_t(hashUniform(f.seed, 6) * 3.0) % 3;
+    return dram::RowAddr(int64_t(f.row) + 2 * side - 2);
+}
+
 RunSnapshot
 runFuzzKernel(const DeviceMaker &make, const dram::DeviceConfig &cfg,
-              const testutil::FuzzHammer &f, FastPathMode mode)
+              const testutil::FuzzHammer &f, FastPathMode mode,
+              bool open_entry)
 {
     auto dev = make(cfg);
     bender::Host host(*dev);
@@ -49,6 +63,13 @@ runFuzzKernel(const DeviceMaker &make, const dram::DeviceConfig &cfg,
     // Victims charged, aggressor discharged: the paper's worst case.
     for (int d = -2; d <= 2; ++d)
         host.writeRowPattern(f.bank, f.row + d, d == 0 ? 0 : ~0ULL);
+    if (open_entry) {
+        // An ACT with no PRE: the loop's first ACT finds the bank
+        // open, and its first PRE closes the entry row.
+        bender::Program open;
+        open.act(f.bank, openEntryRow(f)).sleepNs(cfg.timing.tRasNs);
+        host.run(open);
+    }
     const auto res = host.run(testutil::fuzzHammerProgram(cfg, f));
     RunSnapshot s;
     s.clock = host.now();
@@ -73,14 +94,16 @@ runFuzzKernel(const DeviceMaker &make, const dram::DeviceConfig &cfg,
 
 void
 expectSnapshotsEqual(const RunSnapshot &got, const RunSnapshot &want,
-                     const testutil::FuzzHammer &f)
+                     const testutil::FuzzHammer &f, bool open_entry)
 {
     // GTest prints this block on any failure below; the seed alone
     // replays the draw through drawFuzzHammer.
     SCOPED_TRACE(::testing::Message()
                  << "fuzz seed=" << f.seed << " bank=" << int(f.bank)
                  << " row=" << f.row << " count=" << f.count
-                 << " openNs=" << f.openNs << " nopBody=" << f.nopBody);
+                 << " openNs=" << f.openNs << " nopBody=" << f.nopBody
+                 << (open_entry ? " openEntryRow=" : "")
+                 << (open_entry ? std::to_string(openEntryRow(f)) : ""));
     EXPECT_EQ(got.clock, want.clock);
     EXPECT_EQ(got.commands, want.commands);
     ASSERT_EQ(got.violations.size(), want.violations.size());
@@ -95,13 +118,15 @@ expectSnapshotsEqual(const RunSnapshot &got, const RunSnapshot &want,
 
 void
 fuzzBackend(const DeviceMaker &make, const dram::DeviceConfig &cfg,
-            uint64_t seeds)
+            uint64_t seeds, bool open_entry = false)
 {
     for (uint64_t seed = 1; seed <= seeds; ++seed) {
         const auto f = testutil::drawFuzzHammer(cfg, seed);
-        const auto fast = runFuzzKernel(make, cfg, f, FastPathMode::Exact);
-        const auto slow = runFuzzKernel(make, cfg, f, FastPathMode::Off);
-        expectSnapshotsEqual(fast, slow, f);
+        const auto fast =
+            runFuzzKernel(make, cfg, f, FastPathMode::Exact, open_entry);
+        const auto slow =
+            runFuzzKernel(make, cfg, f, FastPathMode::Off, open_entry);
+        expectSnapshotsEqual(fast, slow, f, open_entry);
     }
 }
 
@@ -110,6 +135,27 @@ chipMaker()
 {
     return [](const dram::DeviceConfig &cfg) -> std::unique_ptr<dram::Device> {
         return std::make_unique<dram::Chip>(cfg);
+    };
+}
+
+DeviceMaker
+dimmMaker()
+{
+    return [](const dram::DeviceConfig &cfg) -> std::unique_ptr<dram::Device> {
+        return std::make_unique<mapping::Dimm>(cfg);
+    };
+}
+
+/**
+ * An HBM channel is a Chip with stack-derived process variation;
+ * runs must agree on that derived seed, not the template's.
+ */
+DeviceMaker
+hbmChannelMaker()
+{
+    return [](const dram::DeviceConfig &cfg) -> std::unique_ptr<dram::Device> {
+        dram::HbmStack stack(cfg, 4);
+        return std::make_unique<dram::Chip>(stack.channel(2).config());
     };
 }
 
@@ -128,23 +174,24 @@ TEST(FastForwardFuzz, ChipWithRemapAndCouplingExactMatchesStepwise)
 
 TEST(FastForwardFuzz, DimmExactMatchesStepwise)
 {
-    const DeviceMaker make =
-        [](const dram::DeviceConfig &cfg) -> std::unique_ptr<dram::Device> {
-        return std::make_unique<mapping::Dimm>(cfg);
-    };
-    fuzzBackend(make, testutil::tinyPlain(), 10);
+    fuzzBackend(dimmMaker(), testutil::tinyPlain(), 10);
 }
 
 TEST(FastForwardFuzz, HbmChannelExactMatchesStepwise)
 {
-    // An HBM channel is a Chip with stack-derived process variation;
-    // runs must agree on that derived seed, not the template's.
-    const DeviceMaker make =
-        [](const dram::DeviceConfig &cfg) -> std::unique_ptr<dram::Device> {
-        dram::HbmStack stack(cfg, 4);
-        return std::make_unique<dram::Chip>(stack.channel(2).config());
-    };
-    fuzzBackend(make, testutil::tinyPlain(), 10);
+    fuzzBackend(hbmChannelMaker(), testutil::tinyPlain(), 10);
+}
+
+TEST(FastForwardFuzz, OpenBankEntryExactMatchesStepwise)
+{
+    // Step-wise, a loop entered with its bank open starts with an
+    // ACT-to-open-bank violation that keeps the entry row open, and
+    // its first PRE closes that row: the batched path must replay
+    // the train command by command rather than drop or batch it.
+    fuzzBackend(chipMaker(), testutil::tinyPlain(), 12, true);
+    fuzzBackend(chipMaker(), dram::makeTinyConfig(), 12, true);
+    fuzzBackend(dimmMaker(), testutil::tinyPlain(), 6, true);
+    fuzzBackend(hbmChannelMaker(), testutil::tinyPlain(), 6, true);
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bender/host.h"
+#include "bender/trace.h"
 #include "core/sweep.h"
 #include "dram/chip.h"
 #include "dram/faulty_device.h"
@@ -222,7 +223,8 @@ TEST(FaultyDevice, BulkActTrainForwardsPrefixWhenDeathLandsInside)
  * One hammer run against a fresh faulty device: setup writes to both
  * neighbors, then @p count ACT-PRE pairs on the aggressor, catching
  * any injected fault.  Everything a cross-mode determinism test needs
- * to compare lands in the returned snapshot.
+ * to compare lands in the returned snapshot, the host's command trace
+ * and the metrics of the host and the device included.
  */
 struct FaultReplay
 {
@@ -233,16 +235,24 @@ struct FaultReplay
     uint64_t deaths = 0;
     uint64_t innerActs = 0;       //!< Commands that reached the chip.
     uint64_t innerPres = 0;
+    std::vector<obs::TraceRecord> records;  //!< Every traced command.
+    obs::MetricsSnapshot metrics;
 };
 
 FaultReplay
-replayHammer(const char *spec, dram::FastPathMode mode, uint64_t count)
+replayHammer(const std::string &spec, dram::FastPathMode mode,
+             uint64_t count)
 {
     const auto cfg = testutil::tinyPlain();
     dram::Chip inner(cfg);
     FaultyDevice faulty(inner, *FaultSpec::parse(spec));
+    obs::MetricsRegistry metrics;
+    obs::CommandTracer tracer;
+    faulty.setMetrics(&metrics);
     bender::Host host(faulty);
     host.setFastPathMode(mode);
+    host.setMetrics(&metrics);
+    host.setTrace(&tracer);
     FaultReplay r;
     try {
         host.writeRowPattern(0, 99, ~0ULL);
@@ -257,7 +267,25 @@ replayHammer(const char *spec, dram::FastPathMode mode, uint64_t count)
     r.deaths = faulty.counts().deaths;
     r.innerActs = inner.stats().acts;
     r.innerPres = inner.stats().pres;
+    EXPECT_EQ(tracer.dropped(), 0u);
+    r.records = tracer.records();
+    r.metrics = metrics.snapshot();
     return r;
+}
+
+/**
+ * Both engines observed the same commands, the faulting one included
+ * (step-wise execution traces a command before issuing it), and left
+ * the same metrics.
+ */
+void
+expectSameObservations(const FaultReplay &fast, const FaultReplay &slow)
+{
+    EXPECT_EQ(slow.records.size(), slow.lifetime);
+    ASSERT_EQ(fast.records.size(), slow.records.size());
+    for (size_t i = 0; i < slow.records.size(); ++i)
+        EXPECT_TRUE(fast.records[i] == slow.records[i]) << "record " << i;
+    EXPECT_TRUE(fast.metrics == slow.metrics);
 }
 
 TEST(FaultyDevice, DropLandsAtSameCommandIndexBulkVsStepwise)
@@ -283,26 +311,32 @@ TEST(FaultyDevice, DropLandsAtSameCommandIndexBulkVsStepwise)
     // writes (~20 commands), so the batched path really was aborted
     // mid-train.
     EXPECT_GT(fast.lifetime, 30u);
+    expectSameObservations(fast, slow);
 }
 
 TEST(FaultyDevice, DeathMidTrainMatchesStepwiseReplay)
 {
-    // die:cmd=75 lands inside the 200-command hammer train (setup
-    // issues ~20).  The offset is odd relative to the train start, so
-    // the bulk path must also forward the lone trailing ACT that
-    // step-wise execution issues before the fatal PRE.
-    const char *spec = "die:cmd=75";
-    const auto fast = replayHammer(spec, dram::FastPathMode::Exact, 100);
-    const auto slow = replayHammer(spec, dram::FastPathMode::Off, 100);
-    ASSERT_TRUE(fast.threw);
-    ASSERT_TRUE(slow.threw);
-    EXPECT_EQ(fast.clock, slow.clock);
-    EXPECT_EQ(fast.lifetime, slow.lifetime);
-    EXPECT_EQ(fast.lifetime, 76u);
-    EXPECT_EQ(fast.deaths, 1u);
-    EXPECT_EQ(slow.deaths, 1u);
-    EXPECT_EQ(fast.innerActs, slow.innerActs);
-    EXPECT_EQ(fast.innerPres, slow.innerPres);
+    // die:cmd=N lands inside the 200-command hammer train (setup
+    // issues ~20).  N = 75 is odd relative to the train start, so the
+    // device dies on a PRE after the lone trailing ACT reached the
+    // chip; N = 76 lands on an ACT, with every pair before it closed.
+    for (const uint64_t n : {75u, 76u}) {
+        const std::string spec = "die:cmd=" + std::to_string(n);
+        SCOPED_TRACE(spec);
+        const auto fast = replayHammer(spec, dram::FastPathMode::Exact, 100);
+        const auto slow = replayHammer(spec, dram::FastPathMode::Off, 100);
+        ASSERT_TRUE(fast.threw);
+        ASSERT_TRUE(slow.threw);
+        EXPECT_EQ(fast.clock, slow.clock);
+        EXPECT_EQ(fast.lifetime, slow.lifetime);
+        EXPECT_EQ(fast.lifetime, n + 1);
+        EXPECT_EQ(fast.deaths, 1u);
+        EXPECT_EQ(slow.deaths, 1u);
+        EXPECT_EQ(fast.innerActs, slow.innerActs);
+        EXPECT_EQ(fast.innerPres, slow.innerPres);
+        EXPECT_EQ(fast.innerActs - fast.innerPres, n % 2);
+        expectSameObservations(fast, slow);
+    }
 }
 
 TEST(FaultyDevice, ExportsMetricsCounters)

@@ -98,6 +98,9 @@ struct Invocation
     Flags flags;
 };
 
+/** Prints the usage text; returns 2, the usage-error exit code. */
+int usage();
+
 /**
  * The --power-window-ns range: at least one tick of the linter's
  * picosecond clock, and a picosecond count that fits its int64.
@@ -565,6 +568,8 @@ cmdCertify(const Invocation &in)
 
     std::vector<core::NamedProgram> units;
     if (flags.grid) {
+        if (in.args.size() > 1)
+            return usage();  // The grid certifies no catalog program.
         mc::McSweepOptions mopt;
         mopt.requests = flags.reqs;
         mopt.seed = flags.seed;
