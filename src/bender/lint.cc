@@ -752,7 +752,8 @@ certifyHammerLoop(const std::vector<Instr> &instrs, size_t begin,
     cert.bank = instrs[i].bank;
     cert.row = instrs[i].row;
     int64_t t = tck_ps;  // The ACT slot itself.
-    // Adds the idle slots (Nop, SleepNs) after slot i to t.
+    // Steps i over the idle slots (Nop, SleepNs) that follow it,
+    // adding their time to t.
     const auto idle_after = [&] {
         for (++i; i < end && (instrs[i].op == Opcode::Nop ||
                               instrs[i].op == Opcode::SleepNs);
