@@ -163,6 +163,9 @@ class Host
     void writeRowBits(dram::BankId b, dram::RowAddr row,
                       const BitVec &bits);
 
+    /** The bank the RE tools and the characterization suite probe. */
+    static constexpr dram::BankId kProbeBank = 0;
+
     /** The paper's open-row times: RowHammer 35 ns, RowPress 7.8 us. */
     static constexpr double kHammerOpenNs = 35.0;
     static constexpr double kPressOpenNs = 7800.0;

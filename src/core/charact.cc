@@ -37,7 +37,7 @@ Characterization::runAttack(bool upper_aggressor, bool victim_even_wl,
                             double open_ns)
 {
     const auto &cfg = host_.config();
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     AttackResult result;
     result.flipsPerHostBit.assign(row_bits_, 0);
     result.cellsPerRow = row_bits_;
@@ -160,7 +160,7 @@ Characterization::edgeVsTypical(
     const std::vector<dram::RowAddr> &edge_aggressors)
 {
     EdgeBerResult out;
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
 
     auto measure = [&](const std::vector<dram::RowAddr> &aggressors,
                        bool victim_one) {
@@ -293,7 +293,7 @@ Characterization::hcntForGroup(bender::Host &host,
                                const BitVec &aggr_bits,
                                const std::vector<uint32_t> &vic0_positions)
 {
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     const dram::RowAddr aggr_phys =
         upper ? victim_phys + 1 : victim_phys - 1;
 

@@ -27,8 +27,6 @@ namespace core {
 /** Options shared by the characterization experiments. */
 struct CharactOptions
 {
-    dram::BankId bank = 0;
-
     /** Victim rows per measurement (one per 4-row group). */
     uint32_t victimRows = 128;
 

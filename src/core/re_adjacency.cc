@@ -29,7 +29,7 @@ AdjacencyProbe
 AdjacencyMapper::probe(dram::RowAddr aggressor)
 {
     const auto &cfg = host_.config();
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     AdjacencyProbe result;
     result.aggressor = aggressor;
 

@@ -33,7 +33,6 @@ struct AdjacencyProbe
 /** Options for the adjacency mapper. */
 struct AdjacencyOptions
 {
-    dram::BankId bank = 0;
     uint64_t hammerCount = 600000;
 };
 

@@ -27,7 +27,7 @@ bool
 CoupledRowDetector::testDistance(uint32_t distance)
 {
     const auto &cfg = host_.config();
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     const dram::RowAddr aggr = opts_.probeRow;
     fatalIf(uint64_t(aggr) + distance + kWindow >= cfg.rowsPerBank,
             "testDistance: probe row too high for this distance");

@@ -22,7 +22,6 @@ namespace core {
 /** Options for coupled-row detection. */
 struct CoupledOptions
 {
-    dram::BankId bank = 0;
     uint64_t hammerCount = 600000;
     dram::RowAddr probeRow = 1024;  //!< Aggressor used for probing.
 };

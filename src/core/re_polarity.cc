@@ -10,16 +10,21 @@
 namespace dramscope {
 namespace core {
 
-CellTypeClassifier::CellTypeClassifier(bender::Host &host,
-                                       PolarityOptions opts)
-    : host_(host), opts_(opts)
+namespace {
+
+/** Refresh-free wait before reading back (2x the median works). */
+constexpr double kWaitMs = 8000.0;
+
+} // namespace
+
+CellTypeClassifier::CellTypeClassifier(bender::Host &host) : host_(host)
 {
 }
 
 PolarityResult
 CellTypeClassifier::classify(const std::vector<dram::RowAddr> &probe_rows)
 {
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     PolarityResult result;
 
     // Alternating data: every row holds both ones and zeros, so decay
@@ -31,7 +36,7 @@ CellTypeClassifier::classify(const std::vector<dram::RowAddr> &probe_rows)
         written.push_back(host_.readRowBits(b, r));
     }
 
-    host_.waitMs(opts_.waitMs);
+    host_.waitMs(kWaitMs);
 
     for (size_t k = 0; k < probe_rows.size(); ++k) {
         PolarityProbe probe;

@@ -38,18 +38,11 @@ struct PolarityResult
     bool mixed = false;  //!< Both polarities present (Mfr. C style).
 };
 
-/** Options for the retention classifier. */
-struct PolarityOptions
-{
-    dram::BankId bank = 0;
-    double waitMs = 8000.0;  //!< Refresh-free wait (2x median works).
-};
-
 /** Retention-based cell polarity classifier. */
 class CellTypeClassifier
 {
   public:
-    CellTypeClassifier(bender::Host &host, PolarityOptions opts = {});
+    explicit CellTypeClassifier(bender::Host &host);
 
     /**
      * Writes a half-ones/half-zeros pattern to every probe row, waits
@@ -60,7 +53,6 @@ class CellTypeClassifier
 
   private:
     bender::Host &host_;
-    PolarityOptions opts_;
 };
 
 } // namespace core

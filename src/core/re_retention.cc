@@ -31,7 +31,7 @@ RetentionProfiler::RetentionProfiler(bender::Host &host,
 RetentionProfile
 RetentionProfiler::profile()
 {
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     RetentionProfile out;
 
     for (const double wait_ms : opts_.waitsMs) {

@@ -53,7 +53,6 @@ struct RetentionProfile
 /** Options for the retention profiler. */
 struct RetentionOptions
 {
-    dram::BankId bank = 0;
     dram::RowAddr baseRow = 64;
     uint32_t rows = 8;
 

@@ -29,15 +29,13 @@ constexpr uint64_t kCrossCheckHammer = 400000;
 SubarrayMapper::SubarrayMapper(bender::Host &host, SubarrayOptions opts)
     : host_(host), opts_(opts)
 {
-    if (opts_.scanLimit == 0)
-        opts_.scanLimit = host_.config().rowsPerBank;
 }
 
 CopyOutcome
 SubarrayMapper::probeCopy(dram::RowAddr src, dram::RowAddr dst,
                           bool *inverted_out)
 {
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     const uint32_t all_cols = host_.config().columnsPerRow();
     const uint32_t n_sample = std::min(kSampleColumns, all_cols);
     std::vector<dram::ColAddr> cols;
@@ -89,7 +87,7 @@ SubarrayMapper::discoverFirstSection()
 {
     SubarrayDiscovery d;
     dram::RowAddr last_boundary = 0;
-    for (dram::RowAddr r = 0; r + 1 < opts_.scanLimit; ++r) {
+    for (dram::RowAddr r = 0; r + 1 < host_.config().rowsPerBank; ++r) {
         bool inverted = false;
         const CopyOutcome out = probeCopy(r, r + 1, &inverted);
         if (out == CopyOutcome::Full)
@@ -156,7 +154,7 @@ bool
 SubarrayMapper::aibCrossCheckBoundary(dram::RowAddr boundary)
 {
     fatalIf(boundary < 2, "aibCrossCheckBoundary: boundary too low");
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     auto logical = [&](dram::RowAddr phys) {
         return dram::remapRow(opts_.rowRemap, phys);
     };

@@ -47,11 +47,6 @@ struct SubarrayDiscovery
 /** Options for the subarray mapper. */
 struct SubarrayOptions
 {
-    dram::BankId bank = 0;
-    /** Stop scanning after this many rows even without a section
-     *  boundary (safety bound; 0 = rowsPerBank). */
-    uint32_t scanLimit = 0;
-
     /** Internal row remap (for the AIB cross-check addressing). */
     dram::RowRemapScheme rowRemap = dram::RowRemapScheme::None;
 };

@@ -70,7 +70,7 @@ std::vector<uint32_t>
 SwizzleReverser::influenceRun(std::optional<uint32_t> candidate)
 {
     const auto &cfg = host_.config();
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     const uint32_t row_bits = columns_ * rd_bits_;
     std::vector<uint32_t> flips(row_bits, 0);
 
@@ -113,7 +113,7 @@ SwizzleReverser::influenceRun(std::optional<uint32_t> candidate)
 void
 SwizzleReverser::classifyParity(SwizzleDiscovery &d)
 {
-    const dram::BankId b = opts_.bank;
+    const dram::BankId b = bender::Host::kProbeBank;
     // Physical rows framing the first subarray boundary, addressed
     // through the discovered remap.
     const dram::RowAddr src =

@@ -37,8 +37,6 @@ namespace core {
 /** Options for the swizzle reverser. */
 struct SwizzleOptions
 {
-    dram::BankId bank = 0;
-
     /** Probe column; default (UINT32_MAX) = middle column. */
     uint32_t probeColumn = UINT32_MAX;
 

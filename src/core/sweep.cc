@@ -82,20 +82,6 @@ SweepReport::payloads() const
     return out;
 }
 
-uint64_t
-RetryPolicy::delayMsBefore(uint32_t next_attempt) const
-{
-    if (backoffBaseMs == 0 || next_attempt < 2)
-        return 0;
-    // Deterministic exponential backoff, no jitter: retry schedules
-    // are part of the reproducibility contract.
-    const uint32_t exponent = next_attempt - 2;
-    uint64_t delay = backoffBaseMs;
-    for (uint32_t i = 0; i < exponent && delay < backoffCapMs; ++i)
-        delay *= 2;
-    return delay < backoffCapMs ? delay : backoffCapMs;
-}
-
 // ---------------------------------------------------------------------
 // Journal encoding.
 // ---------------------------------------------------------------------
@@ -248,21 +234,24 @@ class ShardJournal
     }
 
   private:
+    /** Writes, flushes and fsyncs one line; the first failure of a
+     *  journal warns once (results and exit codes are unaffected). */
     void
     writeLine(const std::string &line)
     {
-        if (std::fprintf(file_, "%s\n", line.c_str()) < 0 ||
-            std::fflush(file_) != 0) {
+        // fsync per record: the durability point of the whole layer.
+        if ((std::fprintf(file_, "%s\n", line.c_str()) < 0 ||
+             std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) &&
+            !warned_) {
+            warned_ = true;
             warn("shard journal: write failed (results of this run "
                  "may not be resumable)");
-            return;
         }
-        // fsync per record: the durability point of the whole layer.
-        ::fsync(fileno(file_));
     }
 
     std::FILE *file_ = nullptr;
     std::mutex mu_;
+    bool warned_ = false;
 };
 
 // ---------------------------------------------------------------------
@@ -318,6 +307,11 @@ SweepRunner::SweepRunner(bender::Host &host, SweepOptions opts)
     : host_(host), jobs_(resolveJobs(opts.jobs)), seed_(opts.seed),
       factory_(std::move(opts.deviceFactory))
 {
+    // Death is lifetime state of one device: on replicas, which shard
+    // meets it would depend on scheduling.
+    if (const dram::FaultyDevice *faulty = faultyOf(host_);
+        faulty && faulty->spec().dieAfterCommands > 0)
+        jobs_ = 1;
 }
 
 SweepRunner::~SweepRunner() = default;
@@ -335,10 +329,24 @@ SweepRunner::configHash(uint32_t shards, const std::string &tag) const
     h = hashCombine(h, cfg.rowBits);
     h = hashCombine(h, cfg.rdDataBits);
     h = hashCombine(h, cfg.variationSeed);
-    if (const auto *f =
-            dynamic_cast<const dram::FaultyDevice *>(&host_.device()))
-        h = mixString(h, f->spec().toString());
+    if (const dram::FaultyDevice *faulty = faultyOf(host_))
+        h = mixString(h, faulty->spec().toString());
     return h;
+}
+
+ShardContext
+SweepRunner::beginShard(bender::Host &host, uint32_t shard,
+                        uint32_t shards, uint32_t attempt) const
+{
+    // Observation windows never span shards, so the merged histograms
+    // do not depend on how shards land on workers.
+    host.resetMetricsWindow();
+    // Fault streams are keyed by (shard, attempt), so injection is
+    // identical wherever and whenever the shard runs, and a retry
+    // draws fresh faults.
+    if (dram::FaultyDevice *faulty = faultyOf(host))
+        faulty->beginShard(shard, attempt);
+    return {host, Rng(hashCombine(seed_, shard)), shard, shards, attempt};
 }
 
 void
@@ -348,94 +356,74 @@ SweepRunner::forEachShard(uint32_t shards,
     if (shards == 0)
         return;
 
-    // Metrics attachment is decided per sweep from the legacy host's
-    // current registry.  Interval state resets at every shard boundary
-    // (serial and parallel alike) so observation windows never span
-    // shards: the merged histograms are then independent of how
-    // shards land on workers, and serial == parallel bit for bit.
-    const bool want_metrics = host_.metrics() != nullptr;
-
-    if (jobs_ <= 1 || shards == 1) {
-        // Legacy serial path: shard order on the caller's host.
-        if (dram::FaultyDevice *faulty = faultyOf(host_))
-            faulty->setMetrics(want_metrics ? host_.metrics() : nullptr);
-        for (uint32_t s = 0; s < shards; ++s) {
-            if (want_metrics)
-                host_.resetMetricsWindow();
-            // Fault streams are keyed by shard index, so injection is
-            // identical wherever (and whenever) the shard runs.
-            if (dram::FaultyDevice *faulty = faultyOf(host_))
-                faulty->beginShard(s, 1);
-            ShardContext ctx{host_, Rng(hashCombine(seed_, s)), s, shards};
-            unit(ctx);
-        }
-        return;
-    }
-
-    // Worker w drives only replica w and runs its own stride of shards
-    // (w, w + n, ...) first, then the unclaimed shards of the other
-    // strides, which rebalances a slow worker.  Own stride first keeps
-    // a shard on the replica that ran it last sweep: a replica commits
-    // the pending dose of the rows its shards left at its next barrier,
-    // so the replica changes a shard's cost, though not its result.
+    // Worker w drives one host: the caller's when there is one worker,
+    // which runs inline on the caller's thread, else replica w.  It
+    // runs its own stride of shards (w, w + n, ...) first, then the
+    // unclaimed shards of the other strides, which rebalances a slow
+    // worker.  Own stride first keeps a shard on the replica that ran
+    // it last sweep: a replica commits the pending dose of the rows
+    // its shards left at its next barrier, so the replica changes a
+    // shard's cost, though not its result.
     const uint32_t n = std::min<uint32_t>(jobs_, shards);
     if (replicas_.size() < n)
         replicas_.resize(n);
-    const dram::DeviceConfig &cfg = host_.config();
-    const auto run_shard = [&](uint32_t w, uint32_t s) {
-        // Each worker touches only its own replica slot, so the lazy
-        // construction below is race-free without locking.
-        auto &replica = replicas_[w];
-        if (!replica) {
-            replica = std::make_unique<Replica>(
-                factory_ ? factory_(cfg)
-                         : std::make_unique<dram::Chip>(cfg));
-        }
-        // One fast-forward mode end to end: replicas inherit the
-        // caller host's mode, not whatever the env said at their
-        // construction.
-        replica->host.setFastPathMode(host_.fastPathMode());
-        if (want_metrics) {
-            if (!replica->host.metrics())
-                replica->host.setMetrics(&replica->metrics);
-            replica->host.resetMetricsWindow();
-        } else if (replica->host.metrics()) {
-            replica->host.setMetrics(nullptr);
-        }
-        if (dram::FaultyDevice *faulty = faultyOf(replica->host)) {
+    // Metrics attachment follows the caller's host, decided per sweep.
+    const bool want_metrics = host_.metrics() != nullptr;
+    const auto prepare = [&](uint32_t w) -> bender::Host & {
+        bender::Host *host = &host_;
+        if (n > 1) {
+            // Each worker touches only its own replica slot, so the
+            // lazy construction is race-free without locking.
+            auto &replica = replicas_[w];
+            if (!replica) {
+                replica = std::make_unique<Replica>(
+                    factory_ ? factory_(host_.config())
+                             : std::make_unique<dram::Chip>(host_.config()));
+            }
+            // One fast-forward mode end to end: replicas inherit the
+            // caller host's mode, not whatever the env said at their
+            // construction.
+            replica->host.setFastPathMode(host_.fastPathMode());
             obs::MetricsRegistry *want =
                 want_metrics ? &replica->metrics : nullptr;
-            if (faulty->metrics() != want)
-                faulty->setMetrics(want);
-            faulty->beginShard(s, 1);
+            if (replica->host.metrics() != want)
+                replica->host.setMetrics(want);
+            host = &replica->host;
         }
-        ShardContext ctx{replica->host, Rng(hashCombine(seed_, s)), s,
-                         shards};
-        unit(ctx);
+        if (dram::FaultyDevice *faulty = faultyOf(*host))
+            faulty->setMetrics(host->metrics());
+        return *host;
     };
 
     std::vector<std::atomic<uint32_t>> claimed(n);  // Per stride.
     std::vector<std::exception_ptr> errors(shards);
     const auto work = [&](uint32_t w) {
+        bender::Host *host = nullptr;  // Prepared at the first claim.
         for (uint32_t k = 0; k < n; ++k) {
             const uint32_t stride = (w + k) % n;
             uint64_t s = 0;
             while ((s = stride + uint64_t(n) * claimed[stride]++) < shards) {
                 try {
-                    run_shard(w, uint32_t(s));
+                    if (!host)
+                        host = &prepare(w);
+                    ShardContext ctx =
+                        beginShard(*host, uint32_t(s), shards, 1);
+                    unit(ctx);
                 } catch (...) {
                     errors[s] = std::current_exception();
                 }
             }
         }
     };
-    {
+    if (n == 1) {
+        work(0);
+    } else {
         std::vector<std::jthread> workers;
         for (uint32_t w = 0; w < n; ++w)
             workers.emplace_back(work, w);
     }  // Joins every worker.
 
-    if (want_metrics) {
+    if (n > 1 && want_metrics) {
         // Drain replica registries into the caller's, in replica
         // order.  Counters and histogram buckets are exact integers,
         // so the aggregate equals the serial run's regardless of
@@ -482,8 +470,7 @@ SweepRunner::runResilient(uint32_t shards, const ResilientUnit &unit,
         }
     }
 
-    const uint32_t max_attempts =
-        opts.retry.maxAttempts > 0 ? opts.retry.maxAttempts : 1;
+    const uint32_t max_attempts = std::max(opts.maxAttempts, 1u);
     std::atomic<uint64_t> timeouts{0};
 
     forEachShard(shards, [&](ShardContext &ctx) {
@@ -491,28 +478,19 @@ SweepRunner::runResilient(uint32_t shards, const ResilientUnit &unit,
         if (slot.status == ShardStatus::Resumed)
             return;  // Recovered from the journal; do not re-execute.
 
-        dram::FaultyDevice *faulty = faultyOf(ctx.host);
         std::string last_error;
         for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
             slot.attempts = attempt;
-            if (attempt > 1) {
-                const uint64_t delay_ms =
-                    opts.retry.delayMsBefore(attempt);
-                if (delay_ms > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(delay_ms));
-                }
+            // A retry starts from idle banks and draws a *fresh* fault
+            // stream: a transient fault does not deterministically
+            // re-fire forever, yet every (shard, attempt) pair stays
+            // reproducible per seed.
+            if (attempt > 1)
                 recoverBanks(ctx.host);
-                ctx.host.resetMetricsWindow();
-            }
-            // Retries draw a *fresh* fault stream: a transient fault
-            // does not deterministically re-fire forever, yet every
-            // (shard, attempt) pair stays reproducible per seed.
-            if (faulty)
-                faulty->beginShard(ctx.shard, attempt);
-            ShardContext attempt_ctx{ctx.host,
-                                     Rng(hashCombine(seed_, ctx.shard)),
-                                     ctx.shard, ctx.shardCount, attempt};
+            ShardContext attempt_ctx =
+                attempt == 1 ? ctx
+                             : beginShard(ctx.host, ctx.shard,
+                                          ctx.shardCount, attempt);
             const auto t0 = std::chrono::steady_clock::now();
             try {
                 std::string payload = unit(attempt_ctx);

@@ -20,15 +20,19 @@
  *     index* (never by worker or scheduling order),
  *   - replicas are built from the configuration the legacy host's
  *     device was built from (same variationSeed; see DeviceFactory),
+ *   - a sweep over a dram::FaultyDevice whose spec has a `die` clause
+ *     runs on that one device at any job count: death is lifetime
+ *     state of one device, and on replicas which shard meets it would
+ *     depend on scheduling,
  *
  * and DRAMSCOPE_JOBS=N output is bit-identical to DRAMSCOPE_JOBS=1
  * for the same config and seed (locked down by tests/test_sweep.cc).
  *
  * Resilience (docs/RESILIENCE.md): long campaigns survive flaky
  * shards and killed processes through runResilient(), which layers
- * per-shard exception capture, bounded deterministic-backoff retry,
- * quarantine with partial-result reporting (SweepReport), a per-shard
- * wall-clock watchdog, and an fsync'd JSONL shard journal enabling
+ * per-shard exception capture, bounded retry, quarantine with
+ * partial-result reporting (SweepReport), a per-shard wall-clock
+ * watchdog, and an fsync'd JSONL shard journal enabling
  * checkpoint/resume with bit-identical merged output.  Fault
  * injection behind any backend is provided by dram::FaultyDevice;
  * the runner rebases its deterministic fault streams at every shard
@@ -101,8 +105,10 @@ struct SweepOptions
 {
     /**
      * Worker count: 0 resolves the DRAMSCOPE_JOBS environment knob
-     * (default: hardware concurrency); 1 selects the legacy serial
-     * path on the caller's host.
+     * (default: hardware concurrency); 1 runs every shard on the
+     * caller's host, on the caller's thread.  A host whose device is
+     * a dram::FaultyDevice with a `die` clause always runs with 1
+     * (see the determinism contract above).
      */
     unsigned jobs = 0;
 
@@ -176,24 +182,11 @@ struct SweepReport
     std::vector<std::string> payloads() const;
 };
 
-/** Bounded-retry policy with deterministic (non-jittered) backoff. */
-struct RetryPolicy
-{
-    /** Attempts per shard (1 = no retry) before quarantine. */
-    uint32_t maxAttempts = 3;
-
-    /** Backoff before attempt k+1: min(base << (k-1), cap) ms. */
-    uint64_t backoffBaseMs = 0;
-    uint64_t backoffCapMs = 1000;
-
-    /** Delay before attempt @p next_attempt (>= 2), in ms. */
-    uint64_t delayMsBefore(uint32_t next_attempt) const;
-};
-
 /** Durability and containment options of a resilient sweep. */
 struct ResilienceOptions
 {
-    RetryPolicy retry;
+    /** Attempts per shard before quarantine (0 and 1: no retry). */
+    uint32_t maxAttempts = 3;
 
     /**
      * Per-shard wall-clock watchdog (ms); 0 disables it.  Checked
@@ -241,9 +234,11 @@ class ResumeError : public std::runtime_error
 using ResilientUnit = std::function<std::string(ShardContext &)>;
 
 /**
- * Runs sweep units on up to jobs() threads started for each call, one
- * lazily built device replica per thread.  The replicas persist
- * across calls, so repeated figure entry points build them once.
+ * Runs sweep units through one claim loop: with one job, inline on
+ * the caller's thread and host; otherwise on up to jobs() threads
+ * started for each call, one lazily built device replica per thread.
+ * The replicas persist across calls, so repeated figure entry points
+ * build them once.
  */
 class SweepRunner
 {
@@ -260,7 +255,7 @@ class SweepRunner
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
 
-    /** Effective worker count (1 = serial legacy path). */
+    /** Effective worker count (1 = the caller's host and thread). */
     unsigned jobs() const { return jobs_; }
 
     /** Base seed of the per-shard Rng streams. */
@@ -282,16 +277,17 @@ class SweepRunner
     }
 
     /** Runs @p unit once per shard; results via side effects into
-     *  shard-indexed slots (no two shards may share a slot).  Rethrows
-     *  the lowest-indexed failure, in parallel once every shard ran. */
+     *  shard-indexed slots (no two shards may share a slot).  A
+     *  throwing shard does not stop the sweep: once every shard ran,
+     *  serial or parallel, the lowest-indexed failure is rethrown. */
     void forEachShard(uint32_t shards,
                       const std::function<void(ShardContext &)> &unit);
 
     /**
      * Runs @p unit once per shard with failure containment: a
-     * throwing or (watchdog) over-budget shard is retried per
-     * @p opts.retry with deterministic backoff, then quarantined —
-     * it never propagates out of its worker or aborts the sweep.  A
+     * throwing or (watchdog) over-budget shard is retried up to
+     * @p opts.maxAttempts attempts in all, then quarantined — it
+     * never propagates out of its worker or aborts the sweep.  A
      * dram::DeviceDeadError quarantines immediately (hard faults are
      * not retriable).  With a checkpoint path set, completed shards
      * are journaled (fsync per record) and opts.resume skips them on
@@ -322,6 +318,14 @@ class SweepRunner
 
   private:
     struct Replica;  //!< Thread-local Device + Host pair.
+
+    /**
+     * Starts one attempt of @p shard on @p host: resets its metrics
+     * window, rebases a FaultyDevice's fault stream to (shard,
+     * attempt) and returns the shard's context.
+     */
+    ShardContext beginShard(bender::Host &host, uint32_t shard,
+                            uint32_t shards, uint32_t attempt) const;
 
     bender::Host &host_;
     unsigned jobs_;

@@ -232,16 +232,15 @@ FaultyDevice::beginShard(uint64_t shard, uint32_t attempt)
 void
 FaultyDevice::setMetrics(obs::MetricsRegistry *metrics)
 {
-    metrics_ = metrics;
-    if (!metrics_) {
+    if (!metrics) {
         flip_counter_ = stuck_counter_ = drop_counter_ = dead_counter_ =
             nullptr;
         return;
     }
-    flip_counter_ = &metrics_->counter("faults.injected.flip");
-    stuck_counter_ = &metrics_->counter("faults.injected.stuck");
-    drop_counter_ = &metrics_->counter("faults.injected.drop");
-    dead_counter_ = &metrics_->counter("faults.device.dead");
+    flip_counter_ = &metrics->counter("faults.injected.flip");
+    stuck_counter_ = &metrics->counter("faults.injected.stuck");
+    drop_counter_ = &metrics->counter("faults.injected.drop");
+    dead_counter_ = &metrics->counter("faults.device.dead");
 }
 
 void

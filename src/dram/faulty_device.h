@@ -21,7 +21,10 @@
  * sweep injects exactly the faults a serial sweep does, and a retried
  * attempt sees a *fresh* fault stream (a transiently dropped command
  * does not re-drop forever).  The hard-death counter is lifetime
- * (never rebased): a dead device stays dead.
+ * (never rebased): a dead device stays dead.  So a sweep whose spec
+ * has a die clause runs on this one device at any job count, never
+ * on replicas: on replicas, which shard meets the death would depend
+ * on scheduling.
  *
  * Fault grammar: one comma-separated spec string of the clauses in
  * DRAMSCOPE_FAULT_CLAUSES below, shared by the CLI `--faults=` flag,
@@ -236,9 +239,6 @@ class FaultyDevice final : public Device
      */
     void setMetrics(obs::MetricsRegistry *metrics);
 
-    /** The attached metrics registry (nullptr when detached). */
-    obs::MetricsRegistry *metrics() const { return metrics_; }
-
   private:
     /**
      * Per-command bookkeeping of every command, a faulted train's
@@ -276,7 +276,6 @@ class FaultyDevice final : public Device
     /** Mirror of the open logical row per bank (stuck-at lookup). */
     std::vector<std::optional<RowAddr>> open_row_;
 
-    obs::MetricsRegistry *metrics_ = nullptr;
     obs::Counter *flip_counter_ = nullptr;
     obs::Counter *stuck_counter_ = nullptr;
     obs::Counter *drop_counter_ = nullptr;

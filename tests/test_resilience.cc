@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -415,7 +417,7 @@ TEST_F(ResilientSweepTest, PersistentFailureQuarantinesWithoutAborting)
 {
     auto runner = makeRunner(1);
     ResilienceOptions opts;
-    opts.retry.maxAttempts = 2;
+    opts.maxAttempts = 2;
     const auto report = runner.runResilient(
         3,
         [](ShardContext &ctx) -> std::string {
@@ -440,7 +442,7 @@ TEST_F(ResilientSweepTest, DeviceDeathQuarantinesImmediately)
 {
     auto runner = makeRunner(1);
     ResilienceOptions opts;
-    opts.retry.maxAttempts = 5;
+    opts.maxAttempts = 5;
     const auto report = runner.runResilient(
         2,
         [](ShardContext &ctx) -> std::string {
@@ -460,7 +462,7 @@ TEST_F(ResilientSweepTest, WatchdogTimesOutSlowShards)
 {
     auto runner = makeRunner(1);
     ResilienceOptions opts;
-    opts.retry.maxAttempts = 2;
+    opts.maxAttempts = 2;
     opts.shardTimeoutMs = 1;
     const auto report = runner.runResilient(
         2,
@@ -477,28 +479,13 @@ TEST_F(ResilientSweepTest, WatchdogTimesOutSlowShards)
     EXPECT_EQ(report.timeouts, 2u);  // Both attempts over budget.
 }
 
-TEST_F(ResilientSweepTest, BackoffScheduleIsDeterministic)
-{
-    core::RetryPolicy policy;
-    policy.backoffBaseMs = 10;
-    policy.backoffCapMs = 50;
-    EXPECT_EQ(policy.delayMsBefore(1), 0u);   // First attempt: none.
-    EXPECT_EQ(policy.delayMsBefore(2), 10u);  // base
-    EXPECT_EQ(policy.delayMsBefore(3), 20u);  // base << 1
-    EXPECT_EQ(policy.delayMsBefore(4), 40u);  // base << 2
-    EXPECT_EQ(policy.delayMsBefore(5), 50u);  // capped
-    EXPECT_EQ(policy.delayMsBefore(9), 50u);  // still capped
-    core::RetryPolicy off;
-    EXPECT_EQ(off.delayMsBefore(4), 0u);      // base 0 = no delay.
-}
-
 TEST_F(ResilientSweepTest, RecordsShardMetrics)
 {
     obs::MetricsRegistry metrics;
     host_.setMetrics(&metrics);
     auto runner = makeRunner(1);
     ResilienceOptions opts;
-    opts.retry.maxAttempts = 2;
+    opts.maxAttempts = 2;
     runner.runResilient(
         3,
         [](ShardContext &ctx) -> std::string {
@@ -906,6 +893,50 @@ TEST(FaultySweep, ParallelMatchesSerialWithFaultsInjected)
         parallel_metrics.snapshot().counterOr0("faults.injected.flip"));
 }
 
+TEST(FaultySweep, DeathSweepMatchesSerialAtAnyJobCount)
+{
+    // Death is lifetime state of one device: at any job count the
+    // sweep runs on the caller's device, so shard 0 dies and every
+    // later shard meets a dead device, even when shard 0 starts last.
+    // Replicas would each die in a shard of their own.
+    const auto cfg = testutil::tinyPlain();
+    const auto spec = *FaultSpec::parse("die:cmd=300");
+    const auto outcome = [&](unsigned jobs) {
+        dram::Chip chip(cfg);
+        FaultyDevice faulty(chip, spec);
+        bender::Host host(faulty);
+        std::atomic<int> built{0};
+        SweepOptions sopts(jobs, 0x5eedULL,
+                           [&](const dram::DeviceConfig &c) {
+                               built.fetch_add(1);
+                               return std::make_unique<FaultyDevice>(
+                                   std::make_unique<dram::Chip>(c), spec);
+                           });
+        SweepRunner runner(host, sopts);
+        EXPECT_EQ(runner.jobs(), 1u) << "jobs=" << jobs;
+        const auto report = runner.runResilient(4, [](ShardContext &ctx) {
+            if (ctx.shard == 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            return berUnit(ctx);
+        });
+        EXPECT_EQ(built.load(), 0) << "jobs=" << jobs;
+        std::vector<std::string> out;
+        for (const auto &rec : report.shards) {
+            out.push_back(std::string(core::toString(rec.status)) + "|" +
+                          rec.error + "|" + rec.payload);
+        }
+        return out;
+    };
+    const auto serial = outcome(1);
+    ASSERT_EQ(serial.size(), 4u);
+    EXPECT_EQ(serial[0], "quarantined|device died after 300 commands|");
+    for (uint32_t s = 1; s < 4; ++s) {
+        EXPECT_EQ(serial[s],
+                  "quarantined|device is dead (die:cmd=300 reached)|");
+    }
+    EXPECT_EQ(outcome(4), serial);
+}
+
 TEST(FaultySweep, TransientDropsRetryToCompletion)
 {
     // A small drop rate: some attempt somewhere fails, but retries
@@ -919,7 +950,7 @@ TEST(FaultySweep, TransientDropsRetryToCompletion)
     host.setMetrics(&metrics);
     SweepRunner runner(host, SweepOptions(1, 0x5eedULL));
     ResilienceOptions opts;
-    opts.retry.maxAttempts = 10;
+    opts.maxAttempts = 10;
     const auto report = runner.runResilient(4, berUnit, opts);
     EXPECT_TRUE(report.complete());
     const auto control = faultSweepPayloads(cfg, FaultSpec{}, 1, 4);

@@ -244,25 +244,30 @@ TEST_F(SweepRunnerTest, BuildsAtMostOneReplicaPerWorker)
 
 TEST_F(SweepRunnerTest, RethrowsTheLowestIndexedFailureAfterEveryShardRan)
 {
-    SweepRunner runner(host_, SweepOptions{4, 0});
-    std::atomic<int> completed{0};
-    try {
-        runner.forEachShard(16, [&](ShardContext &ctx) {
-            if (ctx.shard == 3) {
-                // Fail last in wall-clock order: the rethrown failure
-                // must still be this one.
-                std::this_thread::sleep_for(std::chrono::milliseconds(20));
-                throw std::runtime_error("boom-3");
-            }
-            if (ctx.shard == 10)
-                throw std::runtime_error("boom-10");
-            completed.fetch_add(1);
-        });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "boom-3");
+    // One failure contract, serial and parallel: every shard runs,
+    // then the lowest-indexed failure is rethrown.
+    for (const unsigned jobs : {1u, 4u}) {
+        SweepRunner runner(host_, SweepOptions{jobs, 0});
+        std::atomic<int> completed{0};
+        try {
+            runner.forEachShard(16, [&](ShardContext &ctx) {
+                if (ctx.shard == 3) {
+                    // Fail last in wall-clock order: the rethrown
+                    // failure must still be this one.
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                    throw std::runtime_error("boom-3");
+                }
+                if (ctx.shard == 10)
+                    throw std::runtime_error("boom-10");
+                completed.fetch_add(1);
+            });
+            FAIL() << "expected an exception at jobs=" << jobs;
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "boom-3") << "jobs=" << jobs;
+        }
+        EXPECT_EQ(completed.load(), 14) << "jobs=" << jobs;
     }
-    EXPECT_EQ(completed.load(), 14);
 }
 
 TEST_F(SweepRunnerTest, RunsEveryShardAgainAfterASweepInWhichAllThrew)

@@ -749,7 +749,7 @@ struct SweepCommand
                                      }));
 
         core::ResilienceOptions ropts;
-        ropts.retry.maxAttempts = in.flags.retries ? in.flags.retries : 1;
+        ropts.maxAttempts = in.flags.retries;
         ropts.shardTimeoutMs = in.flags.timeoutMs;
         ropts.checkpointPath = in.flags.checkpoint;
         ropts.resume = in.flags.resume;
